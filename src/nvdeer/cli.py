@@ -87,7 +87,7 @@ _SCHEMA = {
         "f_min_mhz": (900.0, float, _positive),
         "f_max_mhz": (1190.0, float, _positive),
         "df_mhz": (0.5, float, _positive),
-        "t_min_us": (0.02, float, _positive),
+        "t_min_us": (0.02, float, _non_negative),
         "t_max_us": (3.0, float, _positive),
         "n_points": (121, int, _positive),
         "p_max_mw": (2.0, float, _positive),

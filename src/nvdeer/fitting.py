@@ -138,10 +138,21 @@ def _run_fit(model, x, y, sigma, p0, names, lower=None, upper=None,
         cov = np.linalg.inv(jtj) * chi2_red
     except np.linalg.LinAlgError:
         cov = np.linalg.pinv(jtj) * chi2_red
-    cond = np.linalg.cond(jtj)
-    if cond > 1e10:
-        warnings.warn(f"ill-conditioned fit (cond(JTJ) = {cond:.1e}); "
-                      "parameters are degenerate", FitWarning)
+    # conditioning of the column-scaled JTJ, so parameters on very
+    # different scales (a decay time ~1e9 us next to an offset ~1) do not
+    # read as degenerate; a zero column is a parameter the data miss
+    norms = np.sqrt(np.diag(jtj))
+    live = norms > 0
+    if not live.all():
+        free = ", ".join(n for n, ok in zip(names, live) if not ok)
+        warnings.warn(f"unconstrained parameters: {free}", FitWarning)
+    if live.any():
+        cond = np.linalg.cond(jtj[np.ix_(live, live)]
+                              / np.outer(norms[live], norms[live]))
+        if cond > 1e10:
+            warnings.warn(f"ill-conditioned fit (scaled cond(JTJ) = "
+                          f"{cond:.1e}); parameters are degenerate",
+                          FitWarning)
     std = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     return FitResult(
         param_names=tuple(names),

@@ -29,8 +29,8 @@ BUDGET_S = {
     "detection-limit": 1.0,
     "diffusion": 1.0,
     "eseem": 1.0,
-    "spectrum-agreement": 600.0,
-    "rabi-oracle": 30.0,
+    "spectrum-agreement": 30.0,
+    "rabi-oracle": 5.0,
     "round-trip": 300.0,
     "properties": 120.0,
 }

@@ -236,6 +236,30 @@ def test_spectrum_simulate_zero_concentration_is_flat(tmp_path):
     assert np.all(ds.columns["i_deer"] == 1.0)
 
 
+def test_simulate_dynamics_engine_spectrum(tmp_path):
+    # narrow grid over the X line and the central P1 lines, no broadening
+    grid = ("--set", "sweep.f_min_mhz=1038", "--set", "sweep.f_max_mhz=1054",
+            "--set", "sweep.df_mhz=0.5", "--set", "ensemble.gamma_mhz=0")
+    for name, engine in (("ana", "analytic"), ("a", "dynamics"),
+                         ("b", "dynamics")):
+        assert run("simulate", "-e", "deer-spectrum", "--engine", engine,
+                   *grid, "--out", str(tmp_path / name)) == 0
+    i_ana = DataSet.read_csv(tmp_path / "ana" / "spectrum.csv").columns
+    i_dyn = DataSet.read_csv(tmp_path / "a" / "spectrum.csv").columns
+    assert np.max(np.abs(i_dyn["i_deer"] - i_ana["i_deer"])) <= 0.02
+    for name in ("spectrum.csv", "summary.ini"):
+        assert (tmp_path / "a" / name).read_bytes() == \
+            (tmp_path / "b" / name).read_bytes()
+
+
+def test_simulate_dynamics_engine_rabi_starts_at_zero(tmp_path):
+    assert run("simulate", "-e", "deer-rabi", "--engine", "dynamics",
+               "--set", "sweep.t_min_us=0", "--out", str(tmp_path)) == 0
+    p = DataSet.read_csv(tmp_path / "rabi.csv").columns["p_flip"]
+    assert p[0] == 0.0
+    assert p.max() > 0.95
+
+
 def test_spectrum_full_pipeline_and_report(tmp_path, capsys):
     sim = tmp_path / "sim"
     assert run("simulate", "-e", "deer-spectrum", "--noise", "0.01",

@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 
@@ -7,8 +5,9 @@ from nvdeer import (FieldConfiguration, SinusoidalDrive, compute_sigma,
                     ensemble_transfer, nv_offaxis_member, nv_onaxis_member,
                     p1_ensemble, propagate, propagate_unitary,
                     rabi_probability, simulate_rabi, spin_operators,
-                    static_hamiltonian, transition_probability, x_member)
-from nvdeer.dynamics import num_threads
+                    static_hamiltonian, transition_probability,
+                    transition_spectrum, x_member)
+from nvdeer.hamiltonians import drive_amplitude_matrix
 
 
 def _two_level(det_mhz, omega_mhz, f_b_mhz):
@@ -30,6 +29,24 @@ def test_magnus_matches_ode_reference():
     u_fast = propagate_unitary(h0, drive, 0.2, method="magnus")
     u_ref = propagate_unitary(h0, drive, 0.2, method="ode")
     assert np.max(np.abs(u_fast - u_ref)) < 1e-6
+
+
+@pytest.mark.parametrize("periods", [0.3, 1.0, 17.5, 260.4])
+def test_magnus_period_power_edges(periods):
+    # shorter than one period (n = 0), exact multiples of T (remainder
+    # r = 0, exact in binary at f = 1024 MHz) and long pulses
+    f_b = 1024.0
+    h0, drive = _two_level(1.3, 2.0, f_b)
+    t = periods / f_b
+    u_fast = propagate_unitary(h0, drive, t, method="magnus")
+    u_ref = propagate_unitary(h0, drive, t, method="ode")
+    assert np.max(np.abs(u_fast - u_ref)) < 1e-6
+
+
+def test_magnus_rejects_too_few_substeps(field):
+    with pytest.raises(ValueError):
+        ensemble_transfer([x_member()], field, np.array([1042.0]), 0.25,
+                          substeps=1)
 
 
 @pytest.mark.parametrize("det_factor", [0.0, 1.0, 3.0])
@@ -110,21 +127,15 @@ def test_ensemble_transfer_spot_check(field):
     assert 0.05 < p[0] <= 0.25 + 1e-6
 
 
-def test_num_threads_env_override():
-    old = os.environ.get("NVDEER_THREADS")
-    try:
-        os.environ["NVDEER_THREADS"] = "3"
-        assert num_threads() == 3
-        os.environ["NVDEER_THREADS"] = "0"
-        with pytest.raises(ValueError):
-            num_threads()
-        os.environ["NVDEER_THREADS"] = "x"
-        with pytest.raises(ValueError):
-            num_threads()
-        del os.environ["NVDEER_THREADS"]
-        assert num_threads() >= 1
-    finally:
-        if old is not None:
-            os.environ["NVDEER_THREADS"] = old
-        else:
-            os.environ.pop("NVDEER_THREADS", None)
+def test_transition_spectrum_independent_of_grid_split(field):
+    # every frequency is propagated on its own, so a spectrum is
+    # byte-identical to the concatenation of its halves
+    member = p1_ensemble(merge_off_axis=True)[0]
+    h0 = static_hamiltonian(member, field)
+    v_amp = drive_amplitude_matrix(member, field)
+    pop = np.full(6, 1.0 / 6.0)
+    f = np.linspace(1040.0, 1058.0, 25)
+    whole = transition_spectrum(h0, v_amp, f, 0.25, pop)
+    halves = np.concatenate([transition_spectrum(h0, v_amp, f[:12], 0.25, pop),
+                             transition_spectrum(h0, v_amp, f[12:], 0.25, pop)])
+    assert whole.tobytes() == halves.tobytes()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from nvdeer import (DeerFixedParams, FieldConfiguration, LorentzianPeak,
                     fit_deer_decay, fit_eseem, fit_hahn_decay,
                     fit_lorentzian_peaks, fit_rabi_frequency, fit_saturation,
                     nv_count, p1_line_table, population_transfer,
-                    x_line_frequency)
+                    simulate_rabi, x_line_frequency, x_member)
 from nvdeer import constants as c
 from nvdeer.errors import DataError, DataQualityWarning, FitError, FitWarning
 
@@ -100,6 +102,17 @@ def test_rabi_determinism(rng):
     o2, r2 = fit_rabi_frequency(trace, seed=3)
     assert o1 == o2
     assert r1.params == r2.params
+
+
+def test_rabi_noiseless_dynamics_fit_does_not_warn(field):
+    # an undamped nutation drives tau to ~1e9 us; its tiny Jacobian
+    # column must not read as an ill-conditioned fit
+    f = field.replace(drive_freq_mhz=x_line_frequency(field))
+    trace = simulate_rabi(x_member(), f, np.linspace(0.02, 3.0, 121))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", FitWarning)
+        omega, _ = fit_rabi_frequency(trace)
+    assert omega == pytest.approx(field.rabi_mhz, rel=1e-3)
 
 
 def test_rabi_constant_trace_fails():
