@@ -12,8 +12,9 @@ P_B(f_B) is computed two independent ways:
 
 Both are mapped to echo contrast through the exponential dephasing
 model I = exp(-C n T_B P_B) at 200 ppb and compared point by point.
-The two curves have no shared code path beyond the line table, so
-agreement at the few-1e-3 level validates each against the other.
+The two curves share no code path beyond the line table and that
+contrast map (deer_signal_from_transfer), so agreement at the few-1e-3
+level validates each against the other.
 
 Takes roughly half a minute (the numeric half integrates six spins over
 a hundred-point frequency grid).  Writes spectrum_demo.csv plus a plot
@@ -25,9 +26,9 @@ import time
 
 import numpy as np
 
-from nvdeer import (FieldConfiguration, LorentzianPeak, constants,
-                    ensemble_transfer, p1_ensemble, p1_line_table,
-                    population_transfer)
+from nvdeer import (FieldConfiguration, LorentzianPeak,
+                    deer_signal_from_transfer, ensemble_transfer, p1_ensemble,
+                    p1_line_table, population_transfer)
 from nvdeer.datasets import DataSet, write_plot_spec
 
 field = FieldConfiguration(b0_mag_mt=37.2, tilt_deg=0.1, rabi_mhz=2.0,
@@ -54,11 +55,8 @@ peaks = [LorentzianPeak(f, 0.0, a) for f, a in rows]
 p_ana = population_transfer(peaks, field.rabi_mhz, f_grid, T_B)
 
 # map both to echo contrast at the working concentration
-rate = constants.dipolar_rate_constant(2.0, 2.0, 0.5)
-n_m3 = constants.ppb_to_per_m3(N_PPB)
-scale = rate * n_m3 * T_B_DELAY * constants.US_TO_S
-i_num = np.exp(-scale * p_num)
-i_ana = np.exp(-scale * p_ana)
+i_num = deer_signal_from_transfer(p_num, N_PPB, T_B_DELAY)
+i_ana = deer_signal_from_transfer(p_ana, N_PPB, T_B_DELAY)
 
 dev = np.abs(i_num - i_ana)
 print(f"max |I_num - I_ana| = {dev.max():.4f} "

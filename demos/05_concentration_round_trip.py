@@ -19,10 +19,11 @@ Takes about a minute; most of it is stage 3 multistart fitting.
 import numpy as np
 
 from nvdeer import (DeerFixedParams, FieldConfiguration, LorentzianPeak,
-                    P1_FIVE_LINE_AMPLITUDES, constants, detection_limit_ppb,
-                    fit_central_line_two_species, fit_concentration_spectrum,
-                    fit_lorentzian_peaks, fit_rabi_frequency, p1_line_table,
-                    population_transfer, x_line_frequency)
+                    P1_FIVE_LINE_AMPLITUDES, deer_signal_from_transfer,
+                    detection_limit_ppb, fit_central_line_two_species,
+                    fit_concentration_spectrum, fit_lorentzian_peaks,
+                    fit_rabi_frequency, p1_group_table, population_transfer,
+                    x_line_frequency)
 from nvdeer.trace import SpectrumTrace
 
 SEED = 20
@@ -38,16 +39,7 @@ rng = np.random.default_rng(SEED)
 # ----------------------------------------------------------------------
 # merge the two overlapping central P1 lines into one weighted group so
 # the generator matches what a spectrometer resolves (five dips)
-rows = p1_line_table(field)
-f6 = np.array([r[0] for r in rows])
-a6 = np.array([r[1] for r in rows])
-i_mid = np.argsort(np.abs(f6 - np.median(f6)))[:2]
-mask = np.ones(len(f6), bool)
-mask[i_mid] = False
-centers = np.append(f6[mask], np.average(f6[i_mid], weights=a6[i_mid]))
-amps = np.append(a6[mask], a6[i_mid].sum())
-order = np.argsort(centers)
-centers, amps = centers[order], amps[order]
+centers, amps = p1_group_table(field)
 f_x = x_line_frequency(field)
 
 f_grid = np.arange(900.0, 1190.0, 0.25)
@@ -56,10 +48,7 @@ pt_p1 = sum(population_transfer([LorentzianPeak(fc, GAMMA, aa)],
             for fc, aa in zip(centers, amps))
 pt_x = population_transfer([LorentzianPeak(f_x, GAMMA, 1.0)],
                            OMEGA, f_grid, T_B)
-rate_tb = (constants.dipolar_rate_constant(2.0, 2.0, 0.5)
-           * T_B_DELAY * constants.US_TO_S)
-y = np.exp(-rate_tb * (constants.ppb_to_per_m3(N_P1) * pt_p1
-                       + constants.ppb_to_per_m3(N_X) * pt_x))
+y = deer_signal_from_transfer([pt_p1, pt_x], [N_P1, N_X], T_B_DELAY)
 trace = SpectrumTrace(f_grid,
                       y + 0.01 * rng.standard_normal(len(f_grid)),
                       y_err=np.full(len(f_grid), 0.01),

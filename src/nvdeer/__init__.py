@@ -25,8 +25,9 @@ from .hamiltonians import (NVParams, P1Params, SpinSystem, XParams,
                            allowed_transitions, apply_orientation, build_nv,
                            build_p1, build_x, drive_hamiltonian,
                            nv_line_table, nv_offaxis_member, nv_onaxis_member,
-                           p1_ensemble, p1_line_table, static_hamiltonian,
-                           transition_frequency, x_line_frequency, x_member)
+                           p1_ensemble, p1_group_table, p1_line_table,
+                           static_hamiltonian, transition_frequency,
+                           x_line_frequency, x_member)
 from .trace import SpectrumTrace
 from .deer import (DeerModelParams, LorentzianPeak, LorentzianPeakSet,
                    NormalizedSignal, P1_FIVE_LINE_AMPLITUDES, deer_signal,

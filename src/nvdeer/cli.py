@@ -15,14 +15,15 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from . import constants as c
 from .datasets import DataSet, read_summary, write_plot_spec, write_summary
 from .deer import (LorentzianPeak, P1_FIVE_LINE_AMPLITUDES,
-                   population_transfer, rabi_probability)
+                   deer_signal_from_transfer, population_transfer,
+                   rabi_probability)
 from .dynamics import compute_sigma, ensemble_transfer, simulate_rabi
 from .errors import (ConfigError, DataError, FitError, IntegrationError,
                      NumericError)
@@ -34,12 +35,11 @@ from .fitting import (DeerFixedParams, diffusion_coefficient,
                       fit_rabi_frequency, fit_saturation)
 from .hamiltonians import (apply_orientation, nv_line_table,
                            nv_offaxis_member, nv_onaxis_member, p1_ensemble,
-                           p1_line_table, static_hamiltonian,
+                           p1_group_table, p1_line_table, static_hamiltonian,
                            x_line_frequency, x_member)
 from .photophysics import (PulseTrain, RateModelParams, evolve_populations,
                            ground_populations, steady_state_populations)
 from .spincore import FieldConfiguration
-from .trace import SpectrumTrace
 
 __all__ = ["RunConfig", "load_config", "config_hash", "main"]
 
@@ -129,7 +129,7 @@ _SCHEMA = {
 
 # (command, experiment) -> config paths that must be set non-trivially
 _REQUIRED = {
-    ("simulate", "diffusion"): ("sample.count",),
+    ("simulate", "diffusion"): ("sample.count", "ensemble.n_nv_ppb"),
     ("fit", "epr"): ("sample.mass_mg", "sample.ref_di",
                      "sample.ref_mass_mg", "sample.ref_n_ppm"),
 }
@@ -199,6 +199,8 @@ def _coerce(sect, key, value):
                 value = False
             else:
                 raise ValueError(value)
+        if conv is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError(value)
         coerced = conv(value)
     except (TypeError, ValueError):
         raise ConfigError(
@@ -261,56 +263,49 @@ def config_hash(cfg):
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def _meta(cfg):
-    return {
-        "experiment": cfg.experiment,
-        "config_hash": config_hash(cfg),
-        "seed": cfg["run.seed"],
-        "version": __version__,
-        "dose": cfg["run.dose"],
-        "t_a_us": cfg["timing.t_a_us"],
-        "t_b_us": cfg["timing.t_b_us"],
-    }
-
-
-def _run_section(cfg):
-    return {
+def _run_section(cfg, timing=False):
+    """Provenance of a run; dataset headers also carry the pulse timing."""
+    out = {
         "experiment": cfg.experiment,
         "config_hash": config_hash(cfg),
         "seed": cfg["run.seed"],
         "version": __version__,
         "dose": cfg["run.dose"],
     }
+    if timing:
+        out["t_a_us"] = cfg["timing.t_a_us"]
+        out["t_b_us"] = cfg["timing.t_b_us"]
+    return out
 
 
-def _noise(cfg, y, rng):
-    level = cfg["run.noise"]
-    if level <= 0:
-        return y, None
-    return y + level * rng.standard_normal(len(y)), np.full(len(y), level)
-
-
-def _write_dataset(cfg, name, columns, units):
-    path = os.path.join(cfg.out_dir, name)
-    DataSet(columns, units, _meta(cfg)).write_csv(path)
-    return path
+def _write_ini(cfg, name, sections):
+    """Write an INI summary into the output directory, "run" first."""
+    write_summary(os.path.join(cfg.out_dir, name),
+                  {"run": _run_section(cfg), **sections})
 
 
 # ------------------------------------------------------------ simulate
 
-def _p1_five_groups(field):
-    """Six P1 lines collapsed to the five observed groups (two central
-    lines merge within the pulse bandwidth)."""
-    rows = p1_line_table(field)
-    f = np.array([r[0] for r in rows])
-    a = np.array([r[1] for r in rows])
-    i_mid = np.argsort(np.abs(f - np.median(f)))[:2]
-    mask = np.ones(len(f), bool)
-    mask[i_mid] = False
-    centers = np.append(f[mask], np.average(f[i_mid], weights=a[i_mid]))
-    amps = np.append(a[mask], a[i_mid].sum())
-    order = np.argsort(centers)
-    return centers[order], amps[order]
+@dataclass
+class _Sim:
+    """What one simulator produced; cmd_simulate writes it out.
+
+    stem names the dataset (stem.csv) and its plot spec (stem_plot.json);
+    columns maps name -> (values, unit), the x column first and the
+    measured y second.  With run.noise > 0, y gets Gaussian noise of
+    run.noise * noise_scale and an error column named err (no noise when
+    err is None).  summary holds the summary.ini sections after "run";
+    plot is (title, x label, y label) and series the (y column, label)
+    pairs drawn, by default y as "simulated".
+    """
+
+    summary: dict
+    stem: str = ""
+    columns: dict = None
+    plot: tuple = ()
+    err: str = None
+    noise_scale: float = 1.0
+    series: tuple = ()
 
 
 def _spectrum_transfer(cfg, field, fgrid):
@@ -348,29 +343,21 @@ def _nv_sigma_table(field):
     return rows
 
 
-def _simulate_deer_spectrum(cfg, rng):
+def _simulate_deer_spectrum(cfg):
     field = cfg.field_config()
     fgrid = cfg.f_grid()
     t_a = cfg["timing.t_a_us"]
     pt_p1, pt_x, pt_nv = _spectrum_transfer(cfg, field, fgrid)
-    rate_half = c.dipolar_rate_constant(2.0, 2.0, 0.5) * t_a * c.US_TO_S
     member = nv_offaxis_member()
     sigma_nv = compute_sigma(static_hamiltonian(member, field), 2, 3)
-    rate_nv = c.dipolar_rate_constant(2.0, 2.0, sigma_nv) * t_a * c.US_TO_S
-    expo = rate_half * (c.ppb_to_per_m3(cfg["ensemble.n_p1_ppb"]) * pt_p1
-                        + c.ppb_to_per_m3(cfg["ensemble.n_x_ppb"]) * pt_x)
+    y = deer_signal_from_transfer(
+        [pt_p1, pt_x], [cfg["ensemble.n_p1_ppb"], cfg["ensemble.n_x_ppb"]],
+        t_a)
     # sensor-sensor contribution: 3/4 of the NVs sit on off-axis lines
-    expo = expo + rate_nv * c.ppb_to_per_m3(
-        cfg["ensemble.n_nv_ppb"]) * 0.75 * pt_nv
-    y, y_err = _noise(cfg, np.exp(-expo), rng)
-    cols = {"f_b_mhz": fgrid, "i_deer": y}
-    units = {"f_b_mhz": "MHz", "i_deer": "1"}
-    if y_err is not None:
-        cols["i_deer_err"] = y_err
-        units["i_deer_err"] = "1"
-    data_path = _write_dataset(cfg, "spectrum.csv", cols, units)
+    y = y * deer_signal_from_transfer(0.75 * pt_nv, cfg["ensemble.n_nv_ppb"],
+                                      t_a, sigma_nv)
 
-    centers, amps = _p1_five_groups(field)
+    centers, amps = p1_group_table(field)
     lines_p1 = {f"group_{i + 1}_mhz": float(fc)
                 for i, fc in enumerate(centers)}
     lines_p1.update({f"group_{i + 1}_amp": float(aa)
@@ -386,27 +373,20 @@ def _simulate_deer_spectrum(cfg, rng):
         RateModelParams.for_field(b_member, beta=cfg["ensemble.beta"]),
         PulseTrain())
     n123 = ground_populations(pops7)
-
-    write_summary(os.path.join(cfg.out_dir, "summary.ini"), {
-        "run": _run_section(cfg),
-        "lines.p1": lines_p1,
-        "lines.x": {"f_mhz": float(x_line_frequency(field))},
-        "lines.nv": nv_lines,
-        "sigma": sigmas,
-        "populations.offaxis": {
-            "n1": float(n123[0]), "n2": float(n123[1]),
-            "n3": float(n123[2]), "pulses_to_steady_state": n_pulses,
-        },
-    })
-    write_plot_spec(
-        os.path.join(cfg.out_dir, "spectrum_plot.json"),
-        "DEER spectrum", "pump frequency f_B (MHz)", "echo contrast I_DEER",
-        [{"file": os.path.basename(data_path), "x": "f_b_mhz",
-          "y": "i_deer", "label": "simulated"}])
-    return 0
+    return _Sim(
+        {"lines.p1": lines_p1,
+         "lines.x": {"f_mhz": float(x_line_frequency(field))},
+         "lines.nv": nv_lines,
+         "sigma": sigmas,
+         "populations.offaxis": {
+             "n1": float(n123[0]), "n2": float(n123[1]),
+             "n3": float(n123[2]), "pulses_to_steady_state": n_pulses}},
+        "spectrum", {"f_b_mhz": (fgrid, "MHz"), "i_deer": (y, "1")},
+        ("DEER spectrum", "pump frequency f_B (MHz)", "echo contrast I_DEER"),
+        err="i_deer_err")
 
 
-def _simulate_deer_rabi(cfg, rng):
+def _simulate_deer_rabi(cfg):
     field = cfg.field_config()
     t = cfg.t_grid()
     if cfg["run.engine"] == "dynamics":
@@ -417,24 +397,12 @@ def _simulate_deer_rabi(cfg, rng):
         y = trace.y
     else:
         y = rabi_probability(field.rabi_mhz, 0.0, t)
-    y, y_err = _noise(cfg, y, rng)
-    cols = {"t_us": t, "p_flip": y}
-    units = {"t_us": "us", "p_flip": "1"}
-    if y_err is not None:
-        cols["p_flip_err"] = y_err
-        units["p_flip_err"] = "1"
-    path = _write_dataset(cfg, "rabi.csv", cols, units)
-    write_summary(os.path.join(cfg.out_dir, "summary.ini"), {
-        "run": _run_section(cfg),
-        "drive": {"rabi_mhz": cfg["field.rabi_mhz"],
-                  "t_pi_us": 0.5 / cfg["field.rabi_mhz"]},
-    })
-    write_plot_spec(os.path.join(cfg.out_dir, "rabi_plot.json"),
-                    "Driven nutation", "pulse length (us)",
-                    "flip probability",
-                    [{"file": os.path.basename(path), "x": "t_us",
-                      "y": "p_flip", "label": "simulated"}])
-    return 0
+    return _Sim(
+        {"drive": {"rabi_mhz": cfg["field.rabi_mhz"],
+                   "t_pi_us": 0.5 / cfg["field.rabi_mhz"]}},
+        "rabi", {"t_us": (t, "us"), "p_flip": (y, "1")},
+        ("Driven nutation", "pulse length (us)", "flip probability"),
+        err="p_flip_err")
 
 
 def _decay_p_b(cfg, field):
@@ -449,94 +417,48 @@ def _decay_p_b(cfg, field):
                                      cfg["timing.t_b_us"]))
 
 
-def _simulate_deer_decay(cfg, rng):
-    field = cfg.field_config()
-    t = np.linspace(cfg["sweep.t_min_us"], cfg["sweep.t_max_us"],
-                    cfg["sweep.n_points"])
-    p_b = _decay_p_b(cfg, field)
-    rate = c.dipolar_rate_constant(2.0, 2.0, 0.5)
-    y = np.exp(-rate * c.ppb_to_per_m3(cfg["ensemble.n_p1_ppb"]) * p_b
-               * t * c.US_TO_S)
-    y, y_err = _noise(cfg, y, rng)
-    cols = {"t_b_delay_us": t, "i_deer": y}
-    units = {"t_b_delay_us": "us", "i_deer": "1"}
-    if y_err is not None:
-        cols["i_deer_err"] = y_err
-        units["i_deer_err"] = "1"
-    path = _write_dataset(cfg, "decay.csv", cols, units)
-    write_summary(os.path.join(cfg.out_dir, "summary.ini"), {
-        "run": _run_section(cfg),
-        "decay": {"p_b": p_b, "n_p1_ppb": cfg["ensemble.n_p1_ppb"]},
-    })
-    write_plot_spec(os.path.join(cfg.out_dir, "decay_plot.json"),
-                    "DEER decay", "pump delay T (us)", "echo contrast",
-                    [{"file": os.path.basename(path), "x": "t_b_delay_us",
-                      "y": "i_deer", "label": "simulated"}])
-    return 0
+def _simulate_deer_decay(cfg):
+    t = cfg.t_grid()
+    p_b = _decay_p_b(cfg, cfg.field_config())
+    y = deer_signal_from_transfer(p_b, cfg["ensemble.n_p1_ppb"], t)
+    return _Sim(
+        {"decay": {"p_b": p_b, "n_p1_ppb": cfg["ensemble.n_p1_ppb"]}},
+        "decay", {"t_b_delay_us": (t, "us"), "i_deer": (y, "1")},
+        ("DEER decay", "pump delay T (us)", "echo contrast"),
+        err="i_deer_err")
 
 
-def _simulate_hahn(cfg, rng, eseem=False):
-    t = np.linspace(cfg["sweep.t_min_us"], cfg["sweep.t_max_us"],
-                    cfg["sweep.n_points"])
+def _simulate_hahn(cfg, eseem=False):
+    t = cfg.t_grid()
     env = np.exp(-((t / cfg["decay.t2_us"]) ** cfg["decay.stretch"]))
-    name = "hahn.csv"
+    summary = {"decay": {"t2_us": cfg["decay.t2_us"],
+                         "stretch": cfg["decay.stretch"]}}
     if eseem:
         f_mod = (cfg["decay.gamma_n_mhz_per_t"] * cfg["field.b0_mt"]
                  / 2.0 * 1e-3)
         env = env * (1.0 - cfg["decay.k_mod"]
                      * np.sin(np.pi * f_mod * t) ** 2)
-        name = "eseem.csv"
-    y, y_err = _noise(cfg, env, rng)
-    cols = {"t_us": t, "echo": y}
-    units = {"t_us": "us", "echo": "1"}
-    if y_err is not None:
-        cols["echo_err"] = y_err
-        units["echo_err"] = "1"
-    path = _write_dataset(cfg, name, cols, units)
-    summary = {"run": _run_section(cfg),
-               "decay": {"t2_us": cfg["decay.t2_us"],
-                         "stretch": cfg["decay.stretch"]}}
-    if eseem:
         summary["modulation"] = {
             "f_mod_mhz": f_mod,
             "gamma_n_mhz_per_t": cfg["decay.gamma_n_mhz_per_t"]}
-    write_summary(os.path.join(cfg.out_dir, "summary.ini"), summary)
-    write_plot_spec(os.path.join(cfg.out_dir, name.replace(".csv",
-                                                           "_plot.json")),
-                    "Echo decay", "total delay (us)", "echo amplitude",
-                    [{"file": os.path.basename(path), "x": "t_us",
-                      "y": "echo", "label": "simulated"}])
-    return 0
+    return _Sim(summary, "eseem" if eseem else "hahn",
+                {"t_us": (t, "us"), "echo": (env, "1")},
+                ("Echo decay", "total delay (us)", "echo amplitude"),
+                err="echo_err")
 
 
-def _simulate_saturation(cfg, rng):
+def _simulate_saturation(cfg):
     p = np.linspace(0.0, cfg["sweep.p_max_mw"], cfg["sweep.n_points"])
     f_sat, p_sat = cfg["sample.f_sat_kcps"], cfg["sample.p_sat_mw"]
     y = f_sat * p / (p + p_sat)
-    noise = cfg["run.noise"]
-    y_err = None
-    if noise > 0:
-        y = y + noise * f_sat * rng.standard_normal(len(p))
-        y_err = np.full(len(p), noise * f_sat)
-    cols = {"power_mw": p, "rate_kcps": y}
-    units = {"power_mw": "mW", "rate_kcps": "kcps"}
-    if y_err is not None:
-        cols["rate_err"] = y_err
-        units["rate_err"] = "kcps"
-    path = _write_dataset(cfg, "saturation.csv", cols, units)
-    write_summary(os.path.join(cfg.out_dir, "summary.ini"), {
-        "run": _run_section(cfg),
-        "saturation": {"f_sat_kcps": f_sat, "p_sat_mw": p_sat},
-    })
-    write_plot_spec(os.path.join(cfg.out_dir, "saturation_plot.json"),
-                    "PL saturation", "laser power (mW)",
-                    "count rate (kcps)",
-                    [{"file": os.path.basename(path), "x": "power_mw",
-                      "y": "rate_kcps", "label": "simulated"}])
-    return 0
+    return _Sim(
+        {"saturation": {"f_sat_kcps": f_sat, "p_sat_mw": p_sat}},
+        "saturation", {"power_mw": (p, "mW"), "rate_kcps": (y, "kcps")},
+        ("PL saturation", "laser power (mW)", "count rate (kcps)"),
+        err="rate_err", noise_scale=f_sat)
 
 
-def _simulate_photophysics(cfg, rng):
+def _simulate_photophysics(cfg):
     field = cfg.field_config()
     member = nv_offaxis_member()
     b_member, _ = apply_orientation(member.orientation, field)
@@ -544,43 +466,30 @@ def _simulate_photophysics(cfg, rng):
     pops7, n_pulses = steady_state_populations(params, PulseTrain())
     history = evolve_populations(
         params, PulseTrain(n_pulses=max(n_pulses, 10)))
-    pulse_idx = np.arange(1, len(history) + 1, dtype=float)
-    cols = {"pulse": pulse_idx}
-    units = {"pulse": "1"}
+    cols = {"pulse": (np.arange(1, len(history) + 1, dtype=float), "1")}
     for i in range(7):
-        cols[f"n{i + 1}"] = history[:, i]
-        units[f"n{i + 1}"] = "1"
-    path = _write_dataset(cfg, "photophysics.csv", cols, units)
+        cols[f"n{i + 1}"] = (history[:, i], "1")
     n123 = ground_populations(pops7)
-    write_summary(os.path.join(cfg.out_dir, "summary.ini"), {
-        "run": _run_section(cfg),
-        "steady_state": {"n1": float(n123[0]), "n2": float(n123[1]),
-                         "n3": float(n123[2]),
-                         "pulses_to_steady_state": n_pulses,
-                         "beta": cfg["ensemble.beta"]},
-    })
-    write_plot_spec(os.path.join(cfg.out_dir, "photophysics_plot.json"),
-                    "Readout polarization buildup", "laser pulse number",
-                    "ground-state population",
-                    [{"file": os.path.basename(path), "x": "pulse",
-                      "y": f"n{i + 1}", "label": f"level {i + 1}"}
-                     for i in range(3)])
-    return 0
+    return _Sim(
+        {"steady_state": {"n1": float(n123[0]), "n2": float(n123[1]),
+                          "n3": float(n123[2]),
+                          "pulses_to_steady_state": n_pulses,
+                          "beta": cfg["ensemble.beta"]}},
+        "photophysics", cols,
+        ("Readout polarization buildup", "laser pulse number",
+         "ground-state population"),
+        series=tuple((f"n{i + 1}", f"level {i + 1}") for i in range(3)))
 
 
-def _simulate_diffusion(cfg, rng):
+def _simulate_diffusion(cfg):
     out = diffusion_coefficient(cfg["ensemble.n_nv_ppb"],
                                 cfg["sample.count"],
                                 cfg["sample.r_vac_nm"],
                                 cfg["sample.anneal_s"])
-    write_summary(os.path.join(cfg.out_dir, "summary.ini"), {
-        "run": _run_section(cfg),
-        "diffusion": {k: float(v) for k, v in out.items()},
-    })
-    return 0
+    return _Sim({"diffusion": {k: float(v) for k, v in out.items()}})
 
 
-def _simulate_epr(cfg, rng):
+def _simulate_epr(cfg):
     """Derivative EPR line with a known double integral, for pipeline
     tests of the quantification chain."""
     b0 = cfg["field.b0_mt"]
@@ -590,31 +499,19 @@ def _simulate_epr(cfg, rng):
     # derivative of a unit-area Lorentzian absorption line
     deriv = -(2.0 / np.pi) * width * x / (width**2 + x**2) ** 2
     scale = cfg["ensemble.n_p1_ppb"]
-    y, y_err = _noise(cfg, scale * deriv, rng)
-    cols = {"field_mt": b, "deriv": y}
-    units = {"field_mt": "mT", "deriv": "a.u."}
-    if y_err is not None:
-        cols["deriv_err"] = y_err
-        units["deriv_err"] = "a.u."
-    path = _write_dataset(cfg, "epr.csv", cols, units)
-    write_summary(os.path.join(cfg.out_dir, "summary.ini"), {
-        "run": _run_section(cfg),
-        "epr": {"center_mt": b0, "width_mt": width, "area": scale},
-    })
-    write_plot_spec(os.path.join(cfg.out_dir, "epr_plot.json"),
-                    "EPR derivative spectrum", "field (mT)",
-                    "dI/dB (a.u.)",
-                    [{"file": os.path.basename(path), "x": "field_mt",
-                      "y": "deriv", "label": "simulated"}])
-    return 0
+    return _Sim(
+        {"epr": {"center_mt": b0, "width_mt": width, "area": scale}},
+        "epr", {"field_mt": (b, "mT"), "deriv": (scale * deriv, "a.u.")},
+        ("EPR derivative spectrum", "field (mT)", "dI/dB (a.u.)"),
+        err="deriv_err")
 
 
 _SIMULATORS = {
     "deer-spectrum": _simulate_deer_spectrum,
     "deer-rabi": _simulate_deer_rabi,
     "deer-decay": _simulate_deer_decay,
-    "hahn": lambda cfg, rng: _simulate_hahn(cfg, rng, eseem=False),
-    "eseem": lambda cfg, rng: _simulate_hahn(cfg, rng, eseem=True),
+    "hahn": _simulate_hahn,
+    "eseem": lambda cfg: _simulate_hahn(cfg, eseem=True),
     "saturation": _simulate_saturation,
     "photophysics": _simulate_photophysics,
     "diffusion": _simulate_diffusion,
@@ -623,19 +520,33 @@ _SIMULATORS = {
 
 
 def cmd_simulate(cfg):
+    """Run the experiment's simulator, add the noise, write the dataset,
+    summary.ini and the plot spec."""
     cfg.require("simulate")
     os.makedirs(cfg.out_dir, exist_ok=True)
-    rng = np.random.default_rng(cfg["run.seed"])
-    return _SIMULATORS[cfg.experiment](cfg, rng)
+    sim = _SIMULATORS[cfg.experiment](cfg)
+    if sim.columns:
+        cols = {name: vals for name, (vals, _) in sim.columns.items()}
+        units = {name: unit for name, (_, unit) in sim.columns.items()}
+        x, y = list(cols)[:2]
+        level = cfg["run.noise"] * sim.noise_scale
+        if sim.err and level > 0:
+            rng = np.random.default_rng(cfg["run.seed"])
+            cols[y] = cols[y] + level * rng.standard_normal(len(cols[y]))
+            cols[sim.err] = np.full(len(cols[y]), level)
+            units[sim.err] = units[y]
+        name = sim.stem + ".csv"
+        DataSet(cols, units, _run_section(cfg, timing=True)).write_csv(
+            os.path.join(cfg.out_dir, name))
+        write_plot_spec(
+            os.path.join(cfg.out_dir, sim.stem + "_plot.json"), *sim.plot,
+            [{"file": name, "x": x, "y": col, "label": label}
+             for col, label in sim.series or ((y, "simulated"),)])
+    _write_ini(cfg, "summary.ini", sim.summary)
+    return 0
 
 
 # ----------------------------------------------------------------- fit
-
-def _read_trace(path, x_col, y_col, err_col=None):
-    ds = DataSet.read_csv(path)
-    err = err_col if err_col and err_col in ds.columns else None
-    return ds.to_trace(x_col, y_col, err)
-
 
 def _fit_result_section(res):
     out = {}
@@ -660,13 +571,11 @@ def _estimate_section(est):
     return out
 
 
-def _fit_deer_spectrum(cfg, args):
-    if not args.data:
-        raise DataError("stage 1 (peak positions) input missing: pass "
-                        "--data with the spectrum file")
-    trace = _read_trace(args.data[0], "f_b_mhz", "i_deer", "i_deer_err")
+def _fit_deer_spectrum(cfg, args, trace):
+    """The staged spectrum fit.  Writes peaks.ini, rabi.ini (with
+    --rabi-data) and concentrations.ini; returns the report sections."""
     seed = cfg["run.seed"]
-    sections = {"run": _run_section(cfg)}
+    sections = {}
 
     # stage 1: line positions (fit.f_init_mhz pins the starting centers
     # when the automatic dip finder is not trustworthy, e.g. overlapped
@@ -683,9 +592,7 @@ def _fit_deer_spectrum(cfg, args):
     peakset, res1 = fit_lorentzian_peaks(trace, cfg["fit.n_peaks"],
                                          init=init, seed=seed)
     sections["stage1.peaks"] = _fit_result_section(res1)
-    write_summary(os.path.join(cfg.out_dir, "peaks.ini"),
-                  {"run": _run_section(cfg),
-                   "peaks": _fit_result_section(res1)})
+    _write_ini(cfg, "peaks.ini", {"peaks": _fit_result_section(res1)})
 
     # stage 2: pump Rabi frequency
     if args.rabi_data:
@@ -693,9 +600,7 @@ def _fit_deer_spectrum(cfg, args):
                                  "p_flip_err")
         omega, res2 = fit_rabi_frequency(rabi_trace, seed=seed)
         sections["stage2.rabi"] = _fit_result_section(res2)
-        write_summary(os.path.join(cfg.out_dir, "rabi.ini"),
-                      {"run": _run_section(cfg),
-                       "rabi": _fit_result_section(res2)})
+        _write_ini(cfg, "rabi.ini", {"rabi": _fit_result_section(res2)})
     elif cfg["fit.rabi_mhz"] > 0:
         omega = cfg["fit.rabi_mhz"]
         sections["stage2.rabi"] = {"f_rabi": omega, "source": "config"}
@@ -716,8 +621,7 @@ def _fit_deer_spectrum(cfg, args):
     est_p1, res3 = fit_concentration_spectrum(trace, peakset, fixed,
                                               window_mhz=window, seed=seed)
     sections["estimate.p1"] = _estimate_section(est_p1)
-    conc_sections = {"run": _run_section(cfg),
-                     "estimate.p1": _estimate_section(est_p1)}
+    conc_sections = {"estimate.p1": _estimate_section(est_p1)}
     for i, r in enumerate(res3):
         conc_sections[f"stage3.peak_{i + 1}"] = _fit_result_section(r)
 
@@ -734,82 +638,85 @@ def _fit_deer_spectrum(cfg, args):
         conc_sections["estimate.x"] = _estimate_section(est_x)
         conc_sections["stage3.central"] = _fit_result_section(res_x)
 
-    write_summary(os.path.join(cfg.out_dir, "concentrations.ini"),
-                  conc_sections)
-    write_summary(os.path.join(cfg.out_dir, "report.ini"), sections)
-    return 0
+    _write_ini(cfg, "concentrations.ini", conc_sections)
+    return sections
 
 
-def _fit_simple(cfg, args, x_col, y_col, err_col, runner, out_name):
-    if not args.data:
-        raise DataError("fit input missing: pass --data")
-    trace = _read_trace(args.data[0], x_col, y_col, err_col)
-    sections = runner(trace)
-    sections = {"run": _run_section(cfg), **sections}
-    write_summary(os.path.join(cfg.out_dir, "report.ini"), sections)
-    if out_name:
-        write_summary(os.path.join(cfg.out_dir, out_name), sections)
-    return 0
+def _fit_rabi(cfg, args, trace):
+    _, res = fit_rabi_frequency(trace, seed=cfg["run.seed"])
+    return {"rabi": _fit_result_section(res)}
 
 
-def _fit_dispatch(cfg, args):
-    seed = cfg["run.seed"]
-    if cfg.experiment == "deer-spectrum":
-        return _fit_deer_spectrum(cfg, args)
-    if cfg.experiment == "deer-rabi":
-        def run(trace):
-            omega, res = fit_rabi_frequency(trace, seed=seed)
-            return {"rabi": _fit_result_section(res)}
-        return _fit_simple(cfg, args, "t_us", "p_flip", "p_flip_err",
-                           run, "rabi.ini")
-    if cfg.experiment == "deer-decay":
-        def run(trace):
-            p_b = _decay_p_b(cfg, cfg.field_config())
-            est, res = fit_deer_decay(trace, p_b, seed=seed)
-            return {"decay": _fit_result_section(res),
-                    "estimate.p1": _estimate_section(est)}
-        return _fit_simple(cfg, args, "t_b_delay_us", "i_deer",
-                           "i_deer_err", run, "concentrations.ini")
-    if cfg.experiment == "hahn":
-        def run(trace):
-            res = fit_hahn_decay(trace, seed=seed)
-            return {"hahn": _fit_result_section(res)}
-        return _fit_simple(cfg, args, "t_us", "echo", "echo_err", run,
-                           "hahn.ini")
-    if cfg.experiment == "eseem":
-        def run(trace):
-            info, res = fit_eseem(trace, cfg["field.b0_mt"], seed=seed)
-            out = _fit_result_section(res)
-            out.update({k: float(v) for k, v in info.items()})
-            return {"eseem": out}
-        return _fit_simple(cfg, args, "t_us", "echo", "echo_err", run,
-                           "eseem.ini")
-    if cfg.experiment == "saturation":
-        def run(trace):
-            res = fit_saturation(trace, seed=seed)
-            return {"saturation": _fit_result_section(res)}
-        return _fit_simple(cfg, args, "power_mw", "rate_kcps", "rate_err",
-                           run, "saturation.ini")
-    if cfg.experiment == "epr":
-        def run(trace):
-            di = epr_double_integral(trace.x, trace.y)
-            n_ppb = epr_concentration(di, cfg["sample.mass_mg"],
-                                      cfg["sample.ref_di"],
-                                      cfg["sample.ref_mass_mg"],
-                                      cfg["sample.ref_n_ppm"])
-            return {"epr": {"double_integral": float(di),
-                            "n_ppb": float(n_ppb)}}
-        return _fit_simple(cfg, args, "field_mt", "deriv", "deriv_err",
-                           run, "epr.ini")
-    raise ConfigError(
-        f"experiment: '{cfg.experiment}' has no fit stage; it is "
-        "simulate/report only")
+def _fit_decay(cfg, args, trace):
+    p_b = _decay_p_b(cfg, cfg.field_config())
+    est, res = fit_deer_decay(trace, p_b, seed=cfg["run.seed"])
+    return {"decay": _fit_result_section(res),
+            "estimate.p1": _estimate_section(est)}
+
+
+def _fit_hahn(cfg, args, trace):
+    return {"hahn": _fit_result_section(
+        fit_hahn_decay(trace, seed=cfg["run.seed"]))}
+
+
+def _fit_eseem(cfg, args, trace):
+    info, res = fit_eseem(trace, cfg["field.b0_mt"], seed=cfg["run.seed"])
+    out = _fit_result_section(res)
+    out.update({k: float(v) for k, v in info.items()})
+    return {"eseem": out}
+
+
+def _fit_saturation(cfg, args, trace):
+    return {"saturation": _fit_result_section(
+        fit_saturation(trace, seed=cfg["run.seed"]))}
+
+
+def _fit_epr(cfg, args, trace):
+    di = epr_double_integral(trace.x, trace.y)
+    n_ppb = epr_concentration(di, cfg["sample.mass_mg"], cfg["sample.ref_di"],
+                              cfg["sample.ref_mass_mg"],
+                              cfg["sample.ref_n_ppm"])
+    return {"epr": {"double_integral": float(di), "n_ppb": float(n_ppb)}}
+
+
+# experiment -> ((x, y, error column), runner(cfg, args, trace) -> report
+# sections, INI file that gets a copy of the report or None)
+_FITS = {
+    "deer-spectrum": (("f_b_mhz", "i_deer", "i_deer_err"),
+                      _fit_deer_spectrum, None),
+    "deer-rabi": (("t_us", "p_flip", "p_flip_err"), _fit_rabi, "rabi.ini"),
+    "deer-decay": (("t_b_delay_us", "i_deer", "i_deer_err"), _fit_decay,
+                   "concentrations.ini"),
+    "hahn": (("t_us", "echo", "echo_err"), _fit_hahn, "hahn.ini"),
+    "eseem": (("t_us", "echo", "echo_err"), _fit_eseem, "eseem.ini"),
+    "saturation": (("power_mw", "rate_kcps", "rate_err"), _fit_saturation,
+                   "saturation.ini"),
+    "epr": (("field_mt", "deriv", "deriv_err"), _fit_epr, "epr.ini"),
+}
+
+
+def _read_trace(path, x_col, y_col, err_col):
+    ds = DataSet.read_csv(path)
+    return ds.to_trace(x_col, y_col,
+                       err_col if err_col in ds.columns else None)
 
 
 def cmd_fit(cfg, args):
     cfg.require("fit")
+    if cfg.experiment not in _FITS:
+        raise ConfigError(
+            f"experiment: '{cfg.experiment}' has no fit stage; it is "
+            "simulate/report only")
     os.makedirs(cfg.out_dir, exist_ok=True)
-    return _fit_dispatch(cfg, args)
+    columns, runner, out_name = _FITS[cfg.experiment]
+    if not args.data:
+        raise DataError("fit input missing: pass --data")
+    trace = _read_trace(args.data[0], *columns)
+    sections = runner(cfg, args, trace)
+    _write_ini(cfg, "report.ini", sections)
+    if out_name:
+        _write_ini(cfg, out_name, sections)
+    return 0
 
 
 # -------------------------------------------------------------- report

@@ -249,15 +249,24 @@ class DeerModelParams:
 
 def deer_signal_from_transfer(p_b, n_b_ppb, t_b_delay_us, sigma_b=0.5,
                               g_a=c.G_ELECTRON, g_b=c.G_ELECTRON):
-    """Echo contrast exp(-C n_B T_B P_B) from a flip probability P_B.
+    """Echo contrast exp(-C T_B sum_i n_i P_i) from flip probabilities.
 
-    Shared by the analytic route (P_B from population_transfer) and the
-    simulated route (P_B from time propagation).
+    p_b and n_b_ppb are one species' flip probability and concentration,
+    or equal-length sequences of them for several species that share
+    sigma_b and the g factors.  t_b_delay_us may be an array (a decay
+    versus delay).  This is the one place the contrast law is written
+    out: the analytic route (P_B from population_transfer), the simulated
+    route (P_B from time propagation) and the fit models all use it;
+    detection_limit_ppb is its inverse.
     """
-    rate = c.dipolar_rate_constant(g_a, g_b, sigma_b)      # m^3/s
-    n = c.ppb_to_per_m3(n_b_ppb)                           # m^-3
-    exponent = rate * n * (t_b_delay_us * c.US_TO_S) * np.asarray(p_b)
-    return np.exp(-exponent)
+    rate_t = (c.dipolar_rate_constant(g_a, g_b, sigma_b)       # m^3/s
+              * np.asarray(t_b_delay_us, dtype=float) * c.US_TO_S)
+    # the grouping sets the last bits, which fits amplify: (C T n) P for
+    # one species, C T sum(n P) for several
+    if np.ndim(n_b_ppb) == 0:
+        return np.exp(-rate_t * c.ppb_to_per_m3(n_b_ppb) * np.asarray(p_b))
+    return np.exp(-rate_t * sum(c.ppb_to_per_m3(n) * np.asarray(p)
+                                for n, p in zip(n_b_ppb, p_b)))
 
 
 def deer_signal(params, f_b_mhz, abs_tol=1e-6):
@@ -277,7 +286,9 @@ def detection_limit_ppb(min_contrast, t_b_delay_us, sigma_b=0.5,
     Solves 1 - exp(-C n T_B P) = min_contrast for n with the pump flipping
     the addressed line completely (P = line_amp, the area fraction of that
     line; a pi pulse on the central line of the five-line nitrogen pattern
-    has line_amp = 1/3).  Returns ppb.
+    has line_amp = 1/3).  Returns ppb.  This inverts
+    deer_signal_from_transfer for one species, so any flip probability in
+    (0, 1] may stand in for line_amp, e.g. to seed a fit from a dip depth.
     """
     if not 0 < min_contrast < 1:
         raise ValueError("min_contrast must be in (0, 1)")
@@ -324,26 +335,25 @@ def normalize_signal(pl_sig_plus, pl_ref_plus, pl_sig_minus, pl_ref_minus,
 
     Counts may be scalars or arrays (e.g. one entry per pump frequency).
     """
-    sp = np.asarray(pl_sig_plus, dtype=float)
-    rp = np.asarray(pl_ref_plus, dtype=float)
-    sm = np.asarray(pl_sig_minus, dtype=float)
-    rm = np.asarray(pl_ref_minus, dtype=float)
-    if np.any(rp <= 0) or np.any(rm <= 0):
-        raise ValueError("reference counts must be positive")
-    i_nv = 0.5 * (sp / rp - sm / rm)
+    i_nv = _phase_alternated(pl_sig_plus, pl_ref_plus, pl_sig_minus,
+                             pl_ref_minus)
     if i_nv_off is None:
         if pl_sig_plus_off is None:
             raise ValueError("provide i_nv_off or the off-resonance counts")
-        off = normalize_signal(pl_sig_plus_off, pl_ref_plus_off,
-                               pl_sig_minus_off, pl_ref_minus_off,
-                               i_nv_off=np.nan)
-        i_nv_off = float(np.mean(off.i_nv))
-    else:
-        i_nv_off = float(i_nv_off)
-    if np.isnan(i_nv_off):
-        # internal call that only needs i_nv
-        return NormalizedSignal(i_nv=i_nv, i_nv_off=np.nan, i_deer=i_nv * np.nan)
+        i_nv_off = np.mean(_phase_alternated(
+            pl_sig_plus_off, pl_ref_plus_off, pl_sig_minus_off,
+            pl_ref_minus_off))
+    i_nv_off = float(i_nv_off)
     if i_nv_off == 0:
         raise ValueError("i_nv_off must be non-zero")
     return NormalizedSignal(i_nv=i_nv, i_nv_off=i_nv_off,
                             i_deer=i_nv / i_nv_off)
+
+
+def _phase_alternated(sig_plus, ref_plus, sig_minus, ref_minus):
+    """I_NV = (sig+ / ref+ - sig- / ref-) / 2 from raw counts."""
+    sp, rp, sm, rm = (np.asarray(v, dtype=float)
+                      for v in (sig_plus, ref_plus, sig_minus, ref_minus))
+    if np.any(rp <= 0) or np.any(rm <= 0):
+        raise ValueError("reference counts must be positive")
+    return 0.5 * (sp / rp - sm / rm)

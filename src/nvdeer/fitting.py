@@ -17,7 +17,9 @@ from scipy.optimize import least_squares
 from scipy.signal import find_peaks
 
 from . import constants as c
-from .deer import LorentzianPeak, LorentzianPeakSet, population_transfer
+from .deer import (LorentzianPeak, LorentzianPeakSet,
+                   deer_signal_from_transfer, detection_limit_ppb,
+                   population_transfer)
 from .errors import DataError, FitError, FitWarning, DataQualityWarning
 
 __all__ = [
@@ -323,35 +325,29 @@ class DeerFixedParams:
             raise ValueError("line amplitudes must be positive")
         object.__setattr__(self, "amps", amps)
 
-    def rate(self):
-        return c.dipolar_rate_constant(self.g_a, self.g_b, self.sigma_b)
+    def transfer(self, f_r, gamma, amp, f):
+        """Gauss-rule pump flip probability of one Lorentzian line."""
+        return population_transfer([LorentzianPeak(f_r, gamma, amp)],
+                                   self.omega_mhz, f, self.t_b_us,
+                                   method="gauss")
+
+    def contrast(self, p_b, n_ppb):
+        """Echo contrast of one species, or of sequences of several
+        (deer_signal_from_transfer)."""
+        return deer_signal_from_transfer(p_b, n_ppb, self.t_b_delay_us,
+                                         self.sigma_b, self.g_a, self.g_b)
 
 
-def _single_peak_model(fixed, amp):
-    rate_tb = fixed.rate() * fixed.t_b_delay_us * c.US_TO_S
-
-    def model(fv, p):
-        f_r, gamma, n_ppb, base = p
-        peak = LorentzianPeak(f_r, max(gamma, 0.0), amp)
-        pb = population_transfer([peak], fixed.omega_mhz, fv, fixed.t_b_us,
-                                 method="gauss")
-        return base * np.exp(-rate_tb * c.ppb_to_per_m3(n_ppb) * pb)
-
-    return model
-
-
-def _seed_concentration(y_min, amp, fixed):
-    depth = np.clip(1.0 - y_min, 1e-4, 0.999)
-    p_res = population_transfer(
-        [LorentzianPeak(0.0, 0.5, amp)], fixed.omega_mhz, 0.0, fixed.t_b_us)
-    p_res = max(p_res, 1e-6)
-    n_m3 = -np.log(1.0 - depth) / (
-        fixed.rate() * fixed.t_b_delay_us * c.US_TO_S * p_res)
-    return float(c.per_m3_to_ppb(n_m3))
+def _background(fixed, rows, f):
+    """Contrast of already-fitted lines, rows of (n_ppb, f_r, gamma, amp);
+    1.0 for no rows."""
+    return fixed.contrast([fixed.transfer(fj, gj, aj, f)
+                           for _, fj, gj, aj in rows],
+                          [nj for nj, _, _, _ in rows])
 
 
 def fit_concentration_spectrum(trace, seeds, fixed, window_mhz=None,
-                               exclude_central=True, refine=True, seed=0):
+                               exclude_central=True, seed=0):
     """Per-peak concentration fits of a normalized echo-contrast spectrum.
 
     For each seed peak the trace is windowed around the center and fitted
@@ -359,12 +355,14 @@ def fit_concentration_spectrum(trace, seeds, fixed, window_mhz=None,
     A_i taken from `fixed.amps` in frequency order; free parameters are
     (f_r, Gamma, n_b) plus a local baseline b that absorbs the wings of
     the neighboring lines (without it the weak outer lines bias high by
-    several percent).  With refine=True a second pass then refits every
-    peak with the others' first-pass contributions multiplied in as a
-    fixed background and the baseline pinned at 1, which decorrelates the
-    shallow dips from their baseline.  The species aggregate is the mean
-    over the outer peaks, with the standard deviation over the peaks as
-    uncertainty (per-peak standard errors are carried along separately).
+    several percent).  A second pass then refits every peak with the
+    others' first-pass contributions multiplied in as a fixed background
+    and the baseline pinned at 1, which decorrelates the shallow dips
+    from their baseline.  The species aggregate combines the outer peaks
+    with aggregate_estimates: the inverse-variance weighted mean, with
+    the larger of its standard error and the weighted scatter over the
+    peaks as uncertainty (per-peak values and standard errors are carried
+    along separately).
 
     Parameters
     ----------
@@ -397,9 +395,10 @@ def fit_concentration_spectrum(trace, seeds, fixed, window_mhz=None,
     gammas = [gammas[i] for i in order]
     if len(fixed.amps) != len(centers):
         raise ValueError("fixed.amps must have one amplitude per peak")
-    rate_tb = fixed.rate() * fixed.t_b_delay_us * c.US_TO_S
 
-    def fit_one(f_c, g_c, amp, n0, background, free_base):
+    def fit_one(f_c, g_c, amp, n0, background):
+        # first pass: n0 None (seeded from the dip depth) and background
+        # None (a free baseline instead)
         if window_mhz is None:
             w = max(8.0 * g_c, 5.0 * fixed.omega_mhz, 10.0)
         else:
@@ -408,30 +407,25 @@ def fit_concentration_spectrum(trace, seeds, fixed, window_mhz=None,
         if len(sub) < 8:
             raise ValueError(f"window around {f_c:.1f} MHz has too few "
                              "points")
-        if background is None:
-            bg = np.ones_like(sub.x)
-        else:
-            bg = np.exp(-rate_tb * sum(
-                c.ppb_to_per_m3(nj) * population_transfer(
-                    [LorentzianPeak(fj, gj, aj)], fixed.omega_mhz, sub.x,
-                    fixed.t_b_us, method="gauss")
-                for nj, fj, gj, aj in background))
+        if n0 is None:
+            p_res = population_transfer([LorentzianPeak(0.0, 0.5, amp)],
+                                        fixed.omega_mhz, 0.0, fixed.t_b_us)
+            n0 = detection_limit_ppb(
+                np.clip(1.0 - sub.y.min(), 1e-4, 0.999), fixed.t_b_delay_us,
+                fixed.sigma_b, max(p_res, 1e-6), fixed.g_a, fixed.g_b)
+        bg = _background(fixed, background or [], sub.x)
 
         def model(fv, p):
-            f_r, gamma, n_ppb = p[:3]
-            base = p[3] if free_base else 1.0
-            pb = population_transfer(
-                [LorentzianPeak(f_r, max(gamma, 0.0), amp)],
-                fixed.omega_mhz, fv, fixed.t_b_us, method="gauss")
-            return base * bg * np.exp(
-                -rate_tb * c.ppb_to_per_m3(n_ppb) * pb)
+            base = p[3] if background is None else 1.0
+            pb = fixed.transfer(p[0], max(p[1], 0.0), amp, fv)
+            return base * bg * fixed.contrast(pb, p[2])
 
         p0 = [f_c, g_c, n0]
         names = ["f_r", "gamma", "n_ppb"]
         lo = [sub.x[0], 0.01, 0.0]
         hi = [sub.x[-1], 50.0, 1e6]
         xs = [1.0, 1.0, max(n0, 1.0)]
-        if free_base:
+        if background is None:
             p0.append(float(np.percentile(sub.y, 90)))
             names.append("base")
             lo.append(0.5)
@@ -440,24 +434,14 @@ def fit_concentration_spectrum(trace, seeds, fixed, window_mhz=None,
         return _run_fit(model, sub.x, sub.y, _weights(sub), p0, names,
                         lower=lo, upper=hi, seed=seed, x_scale=xs)
 
-    results = []
+    first = []
     for f_c, g_c, amp in zip(centers, gammas, fixed.amps):
-        w0 = window_mhz if window_mhz is not None else max(
-            8.0 * g_c, 5.0 * fixed.omega_mhz, 10.0)
-        sub0 = trace.window(f_c - w0, f_c + w0)
-        n0 = _seed_concentration(sub0.y.min(), amp, fixed)
-        results.append(fit_one(f_c, g_c, amp, n0, None, True))
-
-    if refine:
-        first = [(r.params["n_ppb"], r.params["f_r"], r.params["gamma"], a)
-                 for r, a in zip(results, fixed.amps)]
-        refined = []
-        for i, (f_c, g_c, amp) in enumerate(zip(centers, gammas, fixed.amps)):
-            bg_rows = [first[j] for j in range(len(first)) if j != i]
-            n_i, f_i, g_i, _ = first[i]
-            refined.append(fit_one(f_i, g_i, amp, max(n_i, 1.0),
-                                   bg_rows, False))
-        results = refined
+        r = fit_one(f_c, g_c, amp, None, None)
+        first.append((r.params["n_ppb"], r.params["f_r"], r.params["gamma"],
+                      amp))
+    results = [fit_one(f_i, g_i, amp, max(n_i, 1.0),
+                       first[:i] + first[i + 1:])
+               for i, (n_i, f_i, g_i, amp) in enumerate(first)]
 
     values = [r.params["n_ppb"] for r in results]
     errors = [r.std_errors["n_ppb"] for r in results]
@@ -495,30 +479,15 @@ def fit_central_line_two_species(trace, n_p1_ppb, fixed, central_amp=1.0 / 3.0,
     """
     if n_p1_ppb < 0:
         raise ValueError("n_p1_ppb must be >= 0")
-    rate_tb = fixed.rate() * fixed.t_b_delay_us * c.US_TO_S
-    n_p1_m3 = c.ppb_to_per_m3(n_p1_ppb)
-    if background is None:
-        bg = np.ones_like(trace.x)
-        free_base = True
-    else:
-        bg = np.exp(-rate_tb * sum(
-            c.ppb_to_per_m3(nj) * population_transfer(
-                [LorentzianPeak(fj, gj, aj)], fixed.omega_mhz, trace.x,
-                fixed.t_b_us, method="gauss")
-            for nj, fj, gj, aj in background))
-        free_base = False
+    free_base = background is None
+    bg = _background(fixed, background or [], trace.x)
 
     def model(fv, p):
         f_c, g_c, f_x, g_x, n_x = p[:5]
         base = p[5] if free_base else 1.0
-        p_c = population_transfer([LorentzianPeak(f_c, g_c, central_amp)],
-                                  fixed.omega_mhz, fv, fixed.t_b_us,
-                                  method="gauss")
-        p_x = population_transfer([LorentzianPeak(f_x, g_x, 1.0)],
-                                  fixed.omega_mhz, fv, fixed.t_b_us,
-                                  method="gauss")
-        expo = rate_tb * (n_p1_m3 * p_c + c.ppb_to_per_m3(n_x) * p_x)
-        return base * bg * np.exp(-expo)
+        p_c = fixed.transfer(f_c, g_c, central_amp, fv)
+        p_x = fixed.transfer(f_x, g_x, 1.0, fv)
+        return base * bg * fixed.contrast([p_c, p_x], [n_p1_ppb, n_x])
 
     f_c0 = trace.x[np.argmin(trace.y)]
     n_x0 = max(0.05 * n_p1_ppb, 1.0)
@@ -559,7 +528,6 @@ def fit_deer_decay(trace, p_b, sigma_b=0.5, g_a=c.G_ELECTRON,
         raise ValueError("need at least 8 delay points")
     if np.any(trace.y <= 0):
         raise ValueError("contrast values must be positive")
-    rate = c.dipolar_rate_constant(g_a, g_b, sigma_b)
 
     # non-monotonicity beyond the noise level is a red flag for decays
     err = trace.y_err if trace.y_err is not None else np.full_like(
@@ -570,10 +538,14 @@ def fit_deer_decay(trace, p_b, sigma_b=0.5, g_a=c.G_ELECTRON,
                       FitWarning)
 
     def model(tv, p):
-        return np.exp(-rate * c.ppb_to_per_m3(p[0]) * p_b * tv * c.US_TO_S)
+        return deer_signal_from_transfer(p_b, p[0], tv, sigma_b, g_a, g_b)
 
+    # seed: the log-slope is the contrast lost per us; a flat or rising
+    # trace clips to the floor of 1 ppb
     slope0 = -np.polyfit(trace.x, np.log(trace.y), 1)[0]
-    n0 = max(float(c.per_m3_to_ppb(slope0 / (rate * p_b * c.US_TO_S))), 1.0)
+    n0 = max(detection_limit_ppb(np.clip(-np.expm1(-slope0), 1e-12,
+                                         1.0 - 1e-12),
+                                 1.0, sigma_b, p_b, g_a, g_b), 1.0)
     res = _run_fit(model, trace.x, trace.y, _weights(trace), [n0],
                    ["n_ppb"], lower=[0.0], upper=[1e6], seed=seed,
                    x_scale=[max(n0, 1.0)])

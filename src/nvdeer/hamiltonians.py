@@ -298,6 +298,25 @@ def p1_line_table(field, params=None, populations=None):
     return rows
 
 
+def p1_group_table(field):
+    """The six P1 lines merged into the five observed groups.
+
+    The two central lines sit closer than the pulse bandwidth and merge
+    into one group at their area-weighted mean frequency, carrying their
+    summed area.  Returns (centers, amps) arrays sorted by frequency.
+    """
+    rows = p1_line_table(field)
+    f = np.array([r[0] for r in rows])
+    a = np.array([r[1] for r in rows])
+    i_mid = np.argsort(np.abs(f - np.median(f)))[:2]
+    mask = np.ones(len(f), bool)
+    mask[i_mid] = False
+    centers = np.append(f[mask], np.average(f[i_mid], weights=a[i_mid]))
+    amps = np.append(a[mask], a[i_mid].sum())
+    order = np.argsort(centers)
+    return centers[order], amps[order]
+
+
 def x_line_frequency(field, params=None):
     """Resonance frequency of the bare S = 1/2 X line, gamma_e |B0|."""
     member = x_member(params)

@@ -28,6 +28,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import constants as c
+from .errors import NumericError
 from .hamiltonians import NVParams, build_nv
 from .spincore import eigensystem
 
@@ -172,6 +173,16 @@ def _check_populations(n0):
     return np.clip(n, 0.0, None)
 
 
+def _period_propagators(params, train):
+    """Population propagators of one train period: laser on, the wait to
+    the readout, and the dark tail after it."""
+    k_on = transformed_rates(params)
+    m_off = rate_generator(dark_rates(k_on))
+    tail = train.period_us - train.laser_on_us - train.readout_wait_us
+    return (expm(rate_generator(k_on) * train.laser_on_us),
+            expm(m_off * train.readout_wait_us), expm(m_off * tail))
+
+
 def evolve_populations(params, train, n0=None):
     """Population samples at the readout instant of each laser pulse.
 
@@ -193,13 +204,7 @@ def evolve_populations(params, train, n0=None):
     if n0 is None:
         n0 = np.array([1 / 3, 1 / 3, 1 / 3, 0, 0, 0, 0.0])
     n = _check_populations(n0)
-    k_on = transformed_rates(params)
-    m_on = rate_generator(k_on)
-    m_off = rate_generator(dark_rates(k_on))
-    u_on = expm(m_on * train.laser_on_us)
-    u_wait = expm(m_off * train.readout_wait_us)
-    tail = train.period_us - train.laser_on_us - train.readout_wait_us
-    u_tail = expm(m_off * tail)
+    u_on, u_wait, u_tail = _period_propagators(params, train)
     out = np.empty((train.n_pulses, N_LEVELS))
     for i in range(train.n_pulses):
         n = u_wait @ (u_on @ n)
@@ -223,15 +228,10 @@ def steady_state_populations(params, train, tol=1e-6, max_pulses=200):
 
     Returns (populations_7vector_at_readout, n_pulses_to_converge) where
     convergence means the ground fractions move less than tol between
-    consecutive pulses.
+    consecutive pulses; raises NumericError when max_pulses do not
+    converge.
     """
-    k_on = transformed_rates(params)
-    m_on = rate_generator(k_on)
-    m_off = rate_generator(dark_rates(k_on))
-    u_on = expm(m_on * train.laser_on_us)
-    u_wait = expm(m_off * train.readout_wait_us)
-    tail = train.period_us - train.laser_on_us - train.readout_wait_us
-    u_tail = expm(m_off * tail)
+    u_on, u_wait, u_tail = _period_propagators(params, train)
     n = np.array([1 / 3, 1 / 3, 1 / 3, 0, 0, 0, 0.0])
     prev = ground_populations(n)
     for i in range(1, max_pulses + 1):
@@ -241,7 +241,7 @@ def steady_state_populations(params, train, tol=1e-6, max_pulses=200):
         if np.abs(g - prev).max() < tol:
             return n_ro, i
         prev = g
-    raise RuntimeError(f"no steady state after {max_pulses} pulses")
+    raise NumericError(f"no steady state after {max_pulses} pulses")
 
 
 def signal_fraction(populations, transition=(2, 3), off_axis_share=0.75):

@@ -13,10 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import constants as c
 from .deer import (LorentzianPeak, P1_FIVE_LINE_AMPLITUDES,
-                   detection_limit_ppb, lorentzian, population_transfer,
-                   rabi_probability)
+                   deer_signal_from_transfer, detection_limit_ppb,
+                   lorentzian, population_transfer, rabi_probability)
 from .dynamics import (compute_sigma, ensemble_transfer, propagate_unitary,
                        SinusoidalDrive)
 from .fitting import (DeerFixedParams, diffusion_coefficient,
@@ -24,7 +23,7 @@ from .fitting import (DeerFixedParams, diffusion_coefficient,
                       fit_concentration_spectrum, fit_eseem,
                       fit_lorentzian_peaks, fit_rabi_frequency)
 from .hamiltonians import (apply_orientation, nv_offaxis_member, p1_ensemble,
-                           p1_line_table, static_hamiltonian,
+                           p1_group_table, p1_line_table, static_hamiltonian,
                            x_line_frequency, x_member)
 from .photophysics import (PulseTrain, RateModelParams, ground_populations,
                            steady_state_populations)
@@ -147,10 +146,8 @@ def check_sim_vs_analytic(substeps=40):
                               substeps=substeps)
     peaks = [LorentzianPeak(fi, 0.0, ai) for fi, ai in rows]
     p_ana = population_transfer(peaks, FIELD.rabi_mhz, fgrid, 0.25)
-    n_m3 = c.ppb_to_per_m3(200.0)
-    rate_tb = c.dipolar_rate_constant(2.0, 2.0, 0.5) * 20.0 * c.US_TO_S
-    i_num = np.exp(-rate_tb * n_m3 * p_num)
-    i_ana = np.exp(-rate_tb * n_m3 * p_ana)
+    i_num = deer_signal_from_transfer(p_num, 200.0, 20.0)
+    i_ana = deer_signal_from_transfer(p_ana, 200.0, 20.0)
     dev = float(np.max(np.abs(i_num - i_ana)))
     return _result("dynamics vs analytic spectrum", dev <= 0.02,
                    f"max |dI| = {dev:.4f}", "<= 0.02", t0, max_dev=dev)
@@ -183,17 +180,7 @@ def check_round_trip(seed=42):
     omega, t_b, t_b_delay = 2.0, 0.25, 20.0
     rng = np.random.default_rng(seed)
 
-    rows = p1_line_table(FIELD)
-    f6 = np.array([r[0] for r in rows])
-    a6 = np.array([r[1] for r in rows])
-    # merge the two near-degenerate central lines into the five-line set
-    i_mid = np.argsort(np.abs(f6 - np.median(f6)))[:2]
-    mask = np.ones(len(f6), bool)
-    mask[i_mid] = False
-    centers = np.append(f6[mask], np.average(f6[i_mid], weights=a6[i_mid]))
-    amps = np.append(a6[mask], a6[i_mid].sum())
-    order = np.argsort(centers)
-    centers, amps = centers[order], amps[order]
+    centers, amps = p1_group_table(FIELD)
     f_x = x_line_frequency(FIELD)
 
     fgrid = np.arange(900.0, 1190.0 + 0.125, 0.25)
@@ -202,9 +189,8 @@ def check_round_trip(seed=42):
              for fc, aa in zip(centers, amps))
     pt_x = population_transfer([LorentzianPeak(f_x, gamma_true, 1.0)],
                                omega, fgrid, t_b)
-    rate_tb = c.dipolar_rate_constant(2.0, 2.0, 0.5) * t_b_delay * c.US_TO_S
-    y = np.exp(-rate_tb * (c.ppb_to_per_m3(n_p1_true) * pt
-                           + c.ppb_to_per_m3(n_x_true) * pt_x))
+    y = deer_signal_from_transfer([pt, pt_x], [n_p1_true, n_x_true],
+                                  t_b_delay)
     trace = SpectrumTrace(fgrid, y + 0.01 * rng.standard_normal(len(fgrid)),
                           y_err=np.full(len(fgrid), 0.01),
                           x_label="f_B (MHz)", y_label="I_DEER")
@@ -278,8 +264,7 @@ def check_properties():
     # contrast decreases monotonically with concentration
     pt = population_transfer([LorentzianPeak(1042.0, 1.2, 1.0)], 2.0,
                              np.array([1042.0]), 0.25)[0]
-    rate_tb = c.dipolar_rate_constant(2.0, 2.0, 0.5) * 20.0 * c.US_TO_S
-    i_vals = [np.exp(-rate_tb * c.ppb_to_per_m3(n) * pt)
+    i_vals = [deer_signal_from_transfer(pt, n, 20.0)
               for n in (0.0, 10.0, 100.0, 1000.0)]
     if not (i_vals[0] == 1.0 and np.all(np.diff(i_vals) < 0)):
         ok = False

@@ -50,6 +50,14 @@ def test_simulate_seed_changes_noise(tmp_path):
     assert not np.array_equal(ya, yb)
 
 
+@pytest.mark.parametrize("experiment", ["photophysics", "deer-spectrum"])
+def test_simulate_no_steady_state_exit_4(tmp_path, experiment, capsys):
+    # so weak a pump never polarizes within the pulse budget
+    assert run("simulate", "-e", experiment, "--set", "ensemble.beta=1e-7",
+               "--set", "sweep.df_mhz=10", "--out", str(tmp_path)) == 4
+    assert "no steady state" in capsys.readouterr().err
+
+
 def test_simulate_photophysics_summary(tmp_path):
     assert run("simulate", "-e", "photophysics", "--out", str(tmp_path)) == 0
     ss = read_summary(tmp_path / "summary.ini")["steady_state"]
@@ -63,6 +71,9 @@ def test_simulate_photophysics_summary(tmp_path):
 
 def test_simulate_diffusion_requires_count(tmp_path):
     assert run("simulate", "-e", "diffusion", "--out", str(tmp_path)) == 2
+    # the NV density defaults to 0, which the volume cannot use
+    assert run("simulate", "-e", "diffusion", "--out", str(tmp_path),
+               "--set", "sample.count=10") == 2
     assert run("simulate", "-e", "diffusion", "--out", str(tmp_path),
                "--set", "sample.count=4736",
                "--set", "ensemble.n_nv_ppb=560") == 0
@@ -116,6 +127,11 @@ def test_bad_config_file_exit_2(tmp_path):
     unknown.write_text(json.dumps({"bogus": {"a": 1}}))
     assert run("simulate", "-e", "hahn", "--config", str(unknown),
                "--out", str(tmp_path)) == 2
+    fractional = tmp_path / "fractional.json"
+    fractional.write_text(json.dumps({"sweep": {"n_points": 12.7}}))
+    assert run("simulate", "-e", "hahn", "--config", str(fractional),
+               "--out", str(tmp_path)) == 2
+    assert not (tmp_path / "hahn.csv").exists()
 
 
 def test_missing_experiment_exit_2(tmp_path):

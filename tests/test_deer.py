@@ -105,6 +105,26 @@ def test_deer_signal_monotone_in_delay():
     assert np.all(np.diff(vals) < 0.0)
 
 
+def test_deer_signal_several_species_multiply():
+    # species sharing sigma_B add in the exponent, so their contrasts
+    # multiply; a delay array gives a decay
+    p1, p2 = np.array([0.1, 0.3]), np.array([0.2, 0.05])
+    both = deer_signal_from_transfer([p1, p2], [200.0, 15.0], 20.0)
+    apart = (deer_signal_from_transfer(p1, 200.0, 20.0)
+             * deer_signal_from_transfer(p2, 15.0, 20.0))
+    np.testing.assert_allclose(both, apart, rtol=1e-14)
+    t = np.array([10.0, 20.0])
+    np.testing.assert_allclose(
+        deer_signal_from_transfer(0.3, 100.0, t),
+        [deer_signal_from_transfer(0.3, 100.0, ti) for ti in t], rtol=1e-14)
+
+
+def test_detection_limit_inverts_the_signal():
+    n = detection_limit_ppb(0.05, 100.0, line_amp=0.4)
+    assert deer_signal_from_transfer(0.4, n, 100.0) == pytest.approx(
+        0.95, rel=1e-14)
+
+
 def test_dipolar_rate_constant_value():
     # 4 pi mu0 muB^2 g^2 |sigma| / (9 sqrt(3) hbar) at g = 2, sigma = 1/2
     rate = c.dipolar_rate_constant(2.0, 2.0, 0.5)

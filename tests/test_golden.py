@@ -31,7 +31,7 @@ EXTRA = {"diffusion": ("--set", "sample.count=4736",
 
 CASES = {}
 for _exp in EXPERIMENTS:
-    CASES[f"{_exp}"] = ("-e", _exp, *SHORT, *EXTRA.get(_exp, ()))
+    CASES[_exp] = ("-e", _exp, *SHORT, *EXTRA.get(_exp, ()))
     CASES[f"{_exp}-noise"] = CASES[_exp] + NOISE
 # the benchmark's spectrum, and the sensor-sensor (NV) term switched on
 CASES["deer-spectrum-bench"] = ("-e", "deer-spectrum", *SHORT, "--noise",
