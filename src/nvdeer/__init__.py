@@ -18,25 +18,23 @@ __version__ = "0.1.0"
 from . import constants
 from .errors import (ConfigError, DataError, DataQualityWarning, FitError,
                      FitWarning, IntegrationError, NumericError)
-from .spincore import (ORIENTATIONS, FieldConfiguration, Orientation,
-                       SpinOperatorSet, eigensystem, orientation_families,
-                       rotation_matrix, spin_operators, tensor_embed)
+from .spincore import (FieldConfiguration, Orientation, SpinOperatorSet,
+                       eigensystem, orientation_families, rotation_matrix,
+                       spin_operators, tensor_embed)
 from .hamiltonians import (NVParams, P1Params, SpinSystem, XParams,
                            allowed_transitions, apply_orientation, build_nv,
-                           build_p1, build_x, drive_hamiltonian,
-                           nv_line_table, nv_offaxis_member, nv_onaxis_member,
+                           build_p1, build_x, nv_line_table,
+                           nv_offaxis_member, nv_onaxis_member,
                            p1_ensemble, p1_group_table, p1_line_table,
                            static_hamiltonian, transition_frequency,
                            x_line_frequency, x_member)
 from .trace import SpectrumTrace
-from .deer import (DeerModelParams, LorentzianPeak, LorentzianPeakSet,
-                   NormalizedSignal, P1_FIVE_LINE_AMPLITUDES, deer_signal,
-                   deer_signal_from_transfer, detection_limit_ppb,
-                   lorentzian, normalize_signal, population_transfer,
-                   rabi_probability)
+from .deer import (LorentzianPeak, LorentzianPeakSet, NormalizedSignal,
+                   P1_FIVE_LINE_AMPLITUDES, deer_signal_from_transfer,
+                   detection_limit_ppb, lorentzian, normalize_signal,
+                   population_transfer, rabi_probability)
 from .dynamics import (SinusoidalDrive, compute_sigma, ensemble_transfer,
-                       propagate, propagate_unitary, simulate_rabi,
-                       transition_probability, transition_spectrum)
+                       propagate_unitary, simulate_rabi, transition_spectrum)
 from .photophysics import (PulseTrain, RateModelParams, base_rate_matrix,
                            dark_rates, evolve_populations,
                            ground_populations, mixing_coefficients,

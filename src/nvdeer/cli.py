@@ -199,6 +199,8 @@ def _coerce(sect, key, value):
                 value = False
             else:
                 raise ValueError(value)
+        if conv is bool and value not in (0, 1):
+            raise ValueError(value)
         if conv is int and isinstance(value, float) and not value.is_integer():
             raise ValueError(value)
         coerced = conv(value)
@@ -711,7 +713,7 @@ def cmd_fit(cfg, args):
     columns, runner, out_name = _FITS[cfg.experiment]
     if not args.data:
         raise DataError("fit input missing: pass --data")
-    trace = _read_trace(args.data[0], *columns)
+    trace = _read_trace(args.data, *columns)
     sections = runner(cfg, args, trace)
     _write_ini(cfg, "report.ini", sections)
     if out_name:
@@ -851,8 +853,7 @@ def build_parser():
 
     p_fit = sub.add_parser("fit", help="run the staged fit pipeline")
     _add_config_flags(p_fit)
-    p_fit.add_argument("--data", nargs="+",
-                       help="input dataset file(s) (CSV)")
+    p_fit.add_argument("--data", help="input dataset file (CSV)")
     p_fit.add_argument("--rabi-data",
                        help="nutation dataset for the Rabi stage")
 

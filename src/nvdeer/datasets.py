@@ -120,6 +120,10 @@ class DataSet:
             raise DataError(f"{path}: missing '# units:' line")
         names = next(csv.reader([lines[body_start - 1]]))
         names = [n.strip() for n in names]
+        for j, n in enumerate(names):
+            if n in names[:j]:
+                raise DataError(f"{path} line {body_start}: column '{n}' "
+                                "appears more than once")
         if len(unit_list) != len(names):
             raise DataError(
                 f"{path} line {body_start}: {len(names)} columns but "
@@ -144,7 +148,7 @@ class DataSet:
         units = dict(zip(names, unit_list))
         return cls(columns=columns, units=units, meta=meta)
 
-    def to_trace(self, x_col, y_col, err_col=None, meta=None):
+    def to_trace(self, x_col, y_col, err_col=None):
         """View two (or three) columns as a SpectrumTrace."""
         from .trace import SpectrumTrace
         for name in filter(None, (x_col, y_col, err_col)):
@@ -154,18 +158,7 @@ class DataSet:
             self.columns[x_col], self.columns[y_col],
             y_err=self.columns[err_col] if err_col else None,
             x_label=f"{x_col} ({self.units[x_col]})",
-            y_label=f"{y_col} ({self.units[y_col]})",
-            meta=dict(self.meta) if meta is None else meta)
-
-    @classmethod
-    def from_trace(cls, trace, x_col, y_col, x_unit, y_unit, meta=None):
-        columns = {x_col: trace.x, y_col: trace.y}
-        units = {x_col: x_unit, y_col: y_unit}
-        if trace.y_err is not None:
-            columns[y_col + "_err"] = trace.y_err
-            units[y_col + "_err"] = y_unit
-        return cls(columns=columns, units=units,
-                   meta={} if meta is None else meta)
+            y_label=f"{y_col} ({self.units[y_col]})")
 
 
 def write_summary(path, sections):
@@ -199,7 +192,7 @@ def read_summary(path):
     return {s: dict(parser.items(s)) for s in parser.sections()}
 
 
-def write_plot_spec(path, title, x_label, y_label, series, extras=None):
+def write_plot_spec(path, title, x_label, y_label, series):
     """Write a declarative plot description as JSON.
 
     series is a list of dicts, each naming a data file and the columns
@@ -213,8 +206,6 @@ def write_plot_spec(path, title, x_label, y_label, series, extras=None):
         "y_label": y_label,
         "series": list(series),
     }
-    if extras:
-        spec.update(extras)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(spec, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -32,8 +32,6 @@ __all__ = [
     "lorentzian",
     "rabi_probability",
     "population_transfer",
-    "DeerModelParams",
-    "deer_signal",
     "deer_signal_from_transfer",
     "detection_limit_ppb",
     "NormalizedSignal",
@@ -49,6 +47,10 @@ __all__ = [
 # high frequency this gives (1/12, 1/4, 1/12 + 1/4, 1/4, 1/12) with the
 # central entry counting both families.
 P1_FIVE_LINE_AMPLITUDES = (1.0 / 12, 1.0 / 4, 1.0 / 3, 1.0 / 4, 1.0 / 12)
+
+# Gauss-Legendre nodes per broad peak of the method="gauss" transfer; 256
+# keeps the rule within ~1e-4 of the adaptive reference
+N_GAUSS_NODES = 256
 
 
 @dataclass(frozen=True)
@@ -84,14 +86,6 @@ class LorentzianPeakSet:
         total = sum(p.amp for p in peaks)
         if abs(total - 1.0) > 1e-6:
             raise ValueError(f"peak amplitudes must sum to 1, got {total}")
-
-    @classmethod
-    def from_arrays(cls, f_r_mhz, gamma_mhz, amp):
-        f_r = np.atleast_1d(np.asarray(f_r_mhz, dtype=float))
-        gam = np.broadcast_to(np.asarray(gamma_mhz, dtype=float), f_r.shape)
-        a = np.broadcast_to(np.asarray(amp, dtype=float), f_r.shape)
-        return cls(tuple(LorentzianPeak(fr, g, am)
-                         for fr, g, am in zip(f_r, gam, a)))
 
     def __iter__(self):
         return iter(self.peaks)
@@ -136,16 +130,17 @@ def rabi_probability(omega_mhz, detuning_mhz, t_b_us):
 
 
 def population_transfer(peaks, omega_mhz, f_b_mhz, t_b_us, abs_tol=1e-6,
-                        method="adaptive", n_nodes=256):
+                        method="adaptive"):
     """Pump flip probability P_B(f_B): lineshape (x) Rabi kernel.
 
     Convolves the Lorentzian spectral density with rabi_probability over
     the detuning.  Zero-width peaks are added analytically; broad peaks
     are integrated either by adaptive quadrature (method="adaptive",
     absolute tolerance abs_tol) or by a fixed Gauss-Legendre rule on the
-    arctangent-substituted integral (method="gauss", n_nodes nodes per
-    peak).  The gauss path is ~30x faster at ~1e-4 absolute accuracy and
-    is what the iterative fits use; the adaptive path is the reference.
+    arctangent-substituted integral (method="gauss", N_GAUSS_NODES nodes
+    per peak).  The gauss path is ~30x faster at ~1e-4 absolute accuracy
+    and is what the iterative fits use; the adaptive path is the
+    reference.
     Vectorized over f_b_mhz.
 
     Returns
@@ -167,7 +162,7 @@ def population_transfer(peaks, omega_mhz, f_b_mhz, t_b_us, abs_tol=1e-6,
         out = out + p.amp * rabi_probability(omega_mhz, fb - p.f_r_mhz, t_b_us)
     if broad and omega_mhz > 0:
         if method == "gauss":
-            out = out + _transfer_gauss(broad, omega_mhz, fb, t_b_us, n_nodes)
+            out = out + _transfer_gauss(broad, omega_mhz, fb, t_b_us)
         else:
             out = out + _transfer_adaptive(broad, omega_mhz, fb, t_b_us,
                                            abs_tol)
@@ -195,10 +190,10 @@ def _transfer_adaptive(broad, omega_mhz, fb, t_b_us, abs_tol):
     return val
 
 
-def _transfer_gauss(broad, omega_mhz, fb, t_b_us, n_nodes):
+def _transfer_gauss(broad, omega_mhz, fb, t_b_us):
     # substitute xi = f_r + gamma tan(theta): the Lorentzian density
     # becomes a flat dtheta/pi measure, leaving only the Rabi kernel
-    theta, wt = np.polynomial.legendre.leggauss(n_nodes)
+    theta, wt = np.polynomial.legendre.leggauss(N_GAUSS_NODES)
     theta = theta * (np.pi / 2.0)
     wt = wt * (np.pi / 2.0)
     tan_t = np.tan(theta)
@@ -208,43 +203,6 @@ def _transfer_gauss(broad, omega_mhz, fb, t_b_us, n_nodes):
         val = val + (p.amp / np.pi) * (
             rabi_probability(omega_mhz, det, t_b_us) @ wt)
     return val
-
-
-@dataclass(frozen=True)
-class DeerModelParams:
-    """Everything the closed-form echo-contrast model needs.
-
-    Attributes
-    ----------
-    peaks : LorentzianPeakSet
-        Bath species lineshape (areas summing to 1).
-    n_b_ppb : float
-        Bath species concentration, ppb of lattice sites.
-    t_b_delay_us : float
-        Dipolar evolution time T_B the flipped bath spins act for.
-    omega_mhz, t_b_us : float
-        Pump pulse Rabi frequency and duration.
-    sigma_b : float
-        |projection difference| / 2 of the pumped transition
-        (1/2 for a free electron line).
-    g_a, g_b : float
-        Sensor and bath g factors.
-    """
-
-    peaks: LorentzianPeakSet
-    n_b_ppb: float
-    t_b_delay_us: float
-    omega_mhz: float
-    t_b_us: float
-    sigma_b: float = 0.5
-    g_a: float = c.G_ELECTRON
-    g_b: float = c.G_ELECTRON
-
-    def __post_init__(self):
-        if self.n_b_ppb < 0:
-            raise ValueError("n_b_ppb must be >= 0")
-        if self.t_b_delay_us < 0:
-            raise ValueError("t_b_delay_us must be >= 0")
 
 
 def deer_signal_from_transfer(p_b, n_b_ppb, t_b_delay_us, sigma_b=0.5,
@@ -267,15 +225,6 @@ def deer_signal_from_transfer(p_b, n_b_ppb, t_b_delay_us, sigma_b=0.5,
         return np.exp(-rate_t * c.ppb_to_per_m3(n_b_ppb) * np.asarray(p_b))
     return np.exp(-rate_t * sum(c.ppb_to_per_m3(n) * np.asarray(p)
                                 for n, p in zip(n_b_ppb, p_b)))
-
-
-def deer_signal(params, f_b_mhz, abs_tol=1e-6):
-    """Closed-form DEER spectrum I(f_B) for a DeerModelParams."""
-    p_b = population_transfer(params.peaks, params.omega_mhz, f_b_mhz,
-                              params.t_b_us, abs_tol=abs_tol)
-    return deer_signal_from_transfer(p_b, params.n_b_ppb,
-                                     params.t_b_delay_us, params.sigma_b,
-                                     params.g_a, params.g_b)
 
 
 def detection_limit_ppb(min_contrast, t_b_delay_us, sigma_b=0.5,

@@ -4,13 +4,13 @@ No rotating-wave approximation anywhere: the drive enters as the real
 linear term H1(t) = 2*Omega*sin(2 pi f_B t)*(e1.S) and the propagator is
 integrated in the lab frame.  Two integrator paths:
 
-* "ode": scipy solve_ivp (DOP853) on the unitary, rtol 1e-8 by default,
+* "ode": scipy solve_ivp (DOP853) on the unitary, rtol ODE_RTOL (1e-8),
   max step bounded by 1/(20 f_B) so the carrier is always resolved.
   The reference path.
 * "magnus": a period-power (Floquet) propagator.  The drive repeats
   every period T = 1/f_B, so a duration t = n T + r has
   U(t) = U(r) U(T)^n (Shirley, Phys. Rev. 138, B979 (1965)).  U(T) and
-  U(r) each take `substeps` (40 by default) fixed steps of the
+  U(r) each take `substeps` (SUBSTEPS = 40 by default) fixed steps of the
   three-node Gauss-Legendre commutator-corrected sixth-order Magnus
   integrator (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)),
   with dt = T/substeps and r/substeps, and U(T)^n comes from binary
@@ -23,9 +23,11 @@ integrated in the lab frame.  Two integrator paths:
   in-scope duration (a plain midpoint rule stalls near 2e-4, and the
   two-node fourth-order step only reaches ~1e-6 per 0.1 us).
 
-Transition probabilities are always computed from pure initial
-eigenstates, P = 1 - |<i|U|i>|^2, and spectra are population-weighted
-sums of those over the ensemble members.
+Both paths take the drive as a SinusoidalDrive.  Transition
+probabilities are always computed from pure initial eigenstates,
+P = 1 - |<i|U|i>|^2 (the survival amplitude is a diagonal entry of U in
+the eigenbasis of the static Hamiltonian), and spectra are
+population-weighted sums of those over the ensemble members.
 """
 
 import numpy as np
@@ -36,14 +38,12 @@ from .errors import IntegrationError
 from .hamiltonians import (allowed_transitions, apply_orientation,
                            drive_amplitude_matrix, electron_spin_operators,
                            static_hamiltonian)
-from .spincore import eigensystem, spin_operators
+from .spincore import eigensystem
 from .trace import SpectrumTrace
 
 __all__ = [
     "SinusoidalDrive",
     "propagate_unitary",
-    "propagate",
-    "transition_probability",
     "transition_spectrum",
     "ensemble_transfer",
     "simulate_rabi",
@@ -55,10 +55,15 @@ _GL1 = 0.5 - np.sqrt(15.0) / 10.0
 _GL2 = 0.5
 _GL3 = 0.5 + np.sqrt(15.0) / 10.0
 
+# Magnus steps per drive period (and again for the remainder of a pulse)
+SUBSTEPS = 40
+# relative tolerance of the ODE reference path
+ODE_RTOL = 1e-8
+
 
 class SinusoidalDrive:
     """Linear drive amp_matrix * sin(2 pi freq t), the shape both
-    integrator paths understand.  Callable as h1(t) for the generic path.
+    integrator paths take.  Callable as H1(t_us).
     """
 
     def __init__(self, amp_matrix, freq_mhz):
@@ -79,25 +84,19 @@ class SinusoidalDrive:
         return cls(drive_amplitude_matrix(system, field), field.drive_freq_mhz)
 
 
-def _propagate_ode(h0, drive, duration_us, rtol):
+def _propagate_ode(h0, drive, duration_us):
     d = h0.shape[0]
-    if isinstance(drive, SinusoidalDrive):
-        freq = drive.freq_mhz
-        h1 = drive
-    else:
-        h1 = drive
-        freq = None
 
     def rhs(t, y):
         u = y.reshape(d, d)
-        h = h0 + h1(t)
+        h = h0 + drive(t)
         return (-2j * np.pi * (h @ u)).ravel()
 
-    max_step = np.inf if freq is None else 1.0 / (20.0 * freq)
     sol = solve_ivp(rhs, (0.0, duration_us),
                     np.eye(d, dtype=complex).ravel(),
-                    method="DOP853", rtol=rtol, atol=1e-12,
-                    max_step=max_step, dense_output=False)
+                    method="DOP853", rtol=ODE_RTOL, atol=1e-12,
+                    max_step=1.0 / (20.0 * drive.freq_mhz),
+                    dense_output=False)
     if not sol.success:
         raise IntegrationError(f"ODE propagation failed: {sol.message}")
     u = sol.y[:, -1].reshape(d, d)
@@ -198,21 +197,18 @@ def _floquet_propagator(h0, v_amp, freqs, durations_us, substeps):
 
 
 def propagate_unitary(h0, drive, duration_us, method="magnus",
-                      substeps=40, rtol=1e-8):
+                      substeps=SUBSTEPS):
     """Propagator U(duration) for H(t) = h0 + drive(t).
 
     Parameters
     ----------
     h0 : (d, d) Hermitian static Hamiltonian, MHz.
-    drive : SinusoidalDrive, or any callable t_us -> (d, d) array
-        (generic callables force the ode path).
+    drive : SinusoidalDrive
     duration_us : float
-    method : "magnus" | "ode"
+    method : "magnus" | "ode" (the reference, at ODE_RTOL)
     substeps : int
         Magnus steps for the one-period propagator and again for the
         remainder r = duration mod T (>= 2).
-    rtol : float
-        ODE relative tolerance.
     """
     h0 = np.asarray(h0, dtype=complex)
     if duration_us < 0:
@@ -220,45 +216,11 @@ def propagate_unitary(h0, drive, duration_us, method="magnus",
     if duration_us == 0:
         return np.eye(h0.shape[0], dtype=complex)
     if method == "ode":
-        return _propagate_ode(h0, drive, duration_us, rtol)
+        return _propagate_ode(h0, drive, duration_us)
     if method == "magnus":
-        if not isinstance(drive, SinusoidalDrive):
-            raise ValueError("magnus path needs a SinusoidalDrive; "
-                             "use method='ode' for generic drives")
         return _floquet_propagator(h0, drive.amp_matrix, [drive.freq_mhz],
                                    [duration_us], substeps)[0]
     raise ValueError(f"unknown method {method!r}")
-
-
-def _check_density(rho, tol=1e-8):
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError("rho must be a square matrix")
-    if np.abs(rho - rho.conj().T).max() > tol:
-        raise ValueError("rho must be Hermitian")
-    tr = np.trace(rho).real
-    if abs(tr - 1.0) > 1e-6:
-        raise ValueError(f"rho must have unit trace, got {tr}")
-    return rho
-
-
-def propagate(h0, drive, rho0, duration_us, method="magnus", substeps=40,
-              rtol=1e-8):
-    """Evolve a density matrix: rho -> U rho U^dagger."""
-    rho0 = _check_density(rho0)
-    u = propagate_unitary(h0, drive, duration_us, method=method,
-                          substeps=substeps, rtol=rtol)
-    return u @ rho0 @ u.conj().T
-
-
-def transition_probability(rho_i, rho_f):
-    """Leave probability 1 - Tr(rho_i rho_f) for a pure initial state."""
-    rho_i = np.asarray(rho_i, dtype=complex)
-    rho_f = np.asarray(rho_f, dtype=complex)
-    if rho_i.shape != rho_f.shape:
-        raise ValueError("density matrices must have matching shapes")
-    p = 1.0 - np.trace(rho_i @ rho_f).real
-    return float(np.clip(p, 0.0, 1.0))
 
 
 def _eigenbasis_propagator(h0, v_amp, freqs, durations_us, substeps):
@@ -271,7 +233,7 @@ def _eigenbasis_propagator(h0, v_amp, freqs, durations_us, substeps):
 
 
 def transition_spectrum(h0, v_amp, f_grid_mhz, t_b_us, populations,
-                        substeps=40):
+                        substeps=SUBSTEPS):
     """Population-weighted pump probability P(f) of one member.
 
     P(f) = sum_i pop_i * (1 - |<i|U(f)|i>|^2) over the eigenstates of h0,
@@ -300,16 +262,11 @@ def transition_spectrum(h0, v_amp, f_grid_mhz, t_b_us, populations,
     return np.clip(p, 0.0, 1.0)
 
 
-def _member_populations(system, field, populations):
-    """Resolve the initial eigenstate populations of one member."""
-    d = {"P1": 6, "NV": 3, "X": 2}[system.species]
-    if populations is not None:
-        pop = np.asarray(populations, dtype=float)
-        if pop.shape != (d,):
-            raise ValueError(f"populations for {system.species} must have "
-                             f"length {d}")
-        return pop
+def _member_populations(system, field):
+    """Initial eigenstate populations of one member: uniform for P1 and
+    X, the optical-pumping steady state for NV."""
     if system.species != "NV":
+        d = {"P1": 6, "X": 2}[system.species]
         return np.full(d, 1.0 / d)
     # NV ground populations from the optical-pumping steady state, with
     # spin mixing evaluated in this member's frame
@@ -320,13 +277,13 @@ def _member_populations(system, field, populations):
     return photophysics.ground_populations(n7)
 
 
-def ensemble_transfer(members, field, f_grid_mhz, t_b_us, populations=None,
-                      substeps=40):
+def ensemble_transfer(members, field, f_grid_mhz, t_b_us,
+                      substeps=SUBSTEPS):
     """Weighted pump probability P_B(f) of an ensemble of one species.
 
-    Sums weight * transition_spectrum over the members.  populations may
-    be None (uniform for P1/X, optical-pumping steady state for NV) or a
-    vector applied to every member.
+    Sums weight * transition_spectrum over the members, each starting
+    from uniform level populations (P1, X) or the optical-pumping steady
+    state (NV).
     """
     members = list(members)
     if not members:
@@ -338,19 +295,18 @@ def ensemble_transfer(members, field, f_grid_mhz, t_b_us, populations=None,
     for m in members:
         h0 = static_hamiltonian(m, field)
         v_amp = drive_amplitude_matrix(m, field)
-        pop = _member_populations(m, field, populations)
+        pop = _member_populations(m, field)
         total = total + m.weight * transition_spectrum(
             h0, v_amp, f_grid_mhz, t_b_us, pop, substeps=substeps)
     return total
 
 
-def simulate_rabi(system, field, t_grid_us, initial_level=None,
-                  substeps=40):
+def simulate_rabi(system, field, t_grid_us):
     """Driven nutation P(t) of one member at the field's carrier.
 
-    Starts from a single eigenstate of the static Hamiltonian (default:
-    the lower level of the drive-allowed transition closest to the
-    carrier) and records the leave probability at each requested time.
+    Starts from the lower level of the drive-allowed transition closest
+    to the carrier and records its leave probability at each requested
+    time (SUBSTEPS Magnus steps per period).
 
     Returns a SpectrumTrace (x = t_us, y = P).
     """
@@ -362,59 +318,41 @@ def simulate_rabi(system, field, t_grid_us, initial_level=None,
     f_b = field.drive_freq_mhz
     if f_b <= 0:
         raise ValueError("field.drive_freq_mhz must be positive")
-    h0 = static_hamiltonian(system, field)
-    if initial_level is None:
-        trans = allowed_transitions(system, field)
-        if not trans:
-            raise ValueError("no drive-allowed transition for this member")
-        _, _, lo, _ = min(trans, key=lambda r: abs(r[0] - f_b))
-        initial_level = lo
-    d = h0.shape[0]
-    if not 1 <= initial_level <= d:
-        raise ValueError(f"initial_level must be in 1..{d}")
+    trans = allowed_transitions(system, field)
+    if not trans:
+        raise ValueError("no drive-allowed transition for this member")
+    _, _, lo, _ = min(trans, key=lambda r: abs(r[0] - f_b))
 
-    u = _eigenbasis_propagator(h0, drive_amplitude_matrix(system, field),
-                               [f_b], t, substeps)
-    idx = initial_level - 1
-    p = 1.0 - np.abs(u[:, idx, idx]) ** 2
+    u = _eigenbasis_propagator(static_hamiltonian(system, field),
+                               drive_amplitude_matrix(system, field),
+                               [f_b], t, SUBSTEPS)
+    p = 1.0 - np.abs(u[:, lo - 1, lo - 1]) ** 2
     return SpectrumTrace(t, np.clip(p, 0.0, 1.0),
-                         x_label="t (us)", y_label="P",
-                         meta={"f_b_mhz": f_b, "initial_level": initial_level,
-                               "species": system.species})
+                         x_label="t (us)", y_label="P")
 
 
-def compute_sigma(h0, level_a, level_b, quant_axis=(0.0, 0.0, 1.0),
-                  spin_ops=None):
-    """Half the projection difference |<a|Sq|a> - <b|Sq|b>| / 2.
+def compute_sigma(h0, level_a, level_b):
+    """Half the projection difference |<a|Sz|a> - <b|Sz|b>| / 2.
 
-    Sq is the electron spin component along quant_axis.  This is the
-    effective flip magnitude sigma of a driven transition a <-> b, the
-    factor entering the dipolar decay prefactor (1/2 for a free electron,
+    Sz is the electron spin component along the molecular z axis, taken
+    by dimension: 2 -> X (S=1/2), 3 -> NV (S=1), 6 -> the P1 electron
+    operators embedded over the nuclear identity.  This is the effective
+    flip magnitude sigma of a driven transition a <-> b, the factor
+    entering the dipolar decay prefactor (1/2 for a free electron,
     smaller for mixed levels).  Levels are 1-based in ascending energy.
-
-    spin_ops defaults by dimension: 2 -> S=1/2, 3 -> S=1, 6 -> the P1
-    electron operators embedded over the nuclear identity.
     """
     h0 = np.asarray(h0, dtype=complex)
     d = h0.shape[0]
-    if spin_ops is None:
-        if d == 2:
-            spin_ops = spin_operators(0.5)
-        elif d == 3:
-            spin_ops = spin_operators(1.0)
-        elif d == 6:
-            spin_ops = electron_spin_operators("P1")
-        else:
-            raise ValueError("pass spin_ops explicitly for this dimension")
-    if spin_ops.dim != d:
-        raise ValueError("spin_ops dimension does not match h0")
+    species = {2: "X", 3: "NV", 6: "P1"}.get(d)
+    if species is None:
+        raise ValueError(f"no electron spin operators for dimension {d}")
     for lv in (level_a, level_b):
         if not 1 <= lv <= d:
             raise ValueError(f"level {lv} out of range 1..{d}")
     if level_a == level_b:
         raise ValueError("levels must differ")
     w, v = eigensystem(h0)
-    sq = spin_ops.projection(quant_axis)
+    sq = electron_spin_operators(species).sz
     ma = (v[:, level_a - 1].conj() @ sq @ v[:, level_a - 1]).real
     mb = (v[:, level_b - 1].conj() @ sq @ v[:, level_b - 1]).real
     return abs(ma - mb) / 2.0

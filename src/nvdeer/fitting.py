@@ -18,8 +18,8 @@ from scipy.signal import find_peaks
 
 from . import constants as c
 from .deer import (LorentzianPeak, LorentzianPeakSet,
-                   deer_signal_from_transfer, detection_limit_ppb,
-                   population_transfer)
+                   P1_FIVE_LINE_AMPLITUDES, deer_signal_from_transfer,
+                   detection_limit_ppb, population_transfer)
 from .errors import DataError, FitError, FitWarning, DataQualityWarning
 
 __all__ = [
@@ -42,6 +42,10 @@ __all__ = [
 ]
 
 N_MULTISTART = 5
+# relative spread of the multistart perturbations around p0
+PERTURB = 0.05
+# share of the sweep at each end that fixes the EPR baseline
+EPR_BASELINE_FRAC = 0.1
 
 
 @dataclass
@@ -94,11 +98,13 @@ def _weights(trace):
 
 
 def _run_fit(model, x, y, sigma, p0, names, lower=None, upper=None,
-             seed=0, n_starts=N_MULTISTART, perturb=0.05, x_scale=None):
+             seed=0, x_scale=None):
     """Weighted least squares with deterministic multi-start.
 
     model(x, params_vector) -> y; returns FitResult with params mapped to
-    `names`.  Raises FitError when no start converges.
+    `names`.  Start 0 is p0, the other N_MULTISTART - 1 starts perturb it
+    by PERTURB of each entry's scale.  Raises FitError when no start
+    converges.
     """
     p0 = np.asarray(p0, dtype=float)
     k = len(p0)
@@ -113,9 +119,9 @@ def _run_fit(model, x, y, sigma, p0, names, lower=None, upper=None,
     rng = np.random.default_rng(seed)
     scale = np.where(np.abs(p0) > 0, np.abs(p0), 1.0)
     best = None
-    for s in range(n_starts):
+    for s in range(N_MULTISTART):
         start = p0 if s == 0 else np.clip(
-            p0 + perturb * scale * rng.standard_normal(k), lo, hi)
+            p0 + PERTURB * scale * rng.standard_normal(k), lo, hi)
         try:
             res = least_squares(residual, start, jac="3-point",
                                 bounds=(lo, hi), method="trf",
@@ -461,13 +467,14 @@ def fit_concentration_spectrum(trace, seeds, fixed, window_mhz=None,
     return est, results
 
 
-def fit_central_line_two_species(trace, n_p1_ppb, fixed, central_amp=1.0 / 3.0,
-                                 x_offset_mhz=-7.0, background=None, seed=0):
+def fit_central_line_two_species(trace, n_p1_ppb, fixed, x_offset_mhz=-7.0,
+                                 background=None, seed=0):
     """X concentration from the central line with the P1 part frozen.
 
     Model: I = exp(-C T_B [n_P1 A_c P_c(f) + n_X P_x(f)]) with n_P1 and
-    A_c fixed; free parameters are the two line positions, widths and
-    n_X.  The X species is a bare S = 1/2 line (amplitude 1).
+    A_c = 1/3 (the merged central entry of P1_FIVE_LINE_AMPLITUDES)
+    fixed; free parameters are the two line positions, widths and n_X.
+    The X species is a bare S = 1/2 line (amplitude 1).
 
     `background`, when given, is a list of (n_ppb, f_r, gamma, amp) rows
     for already-fitted neighboring lines; their contrast is multiplied in
@@ -485,7 +492,7 @@ def fit_central_line_two_species(trace, n_p1_ppb, fixed, central_amp=1.0 / 3.0,
     def model(fv, p):
         f_c, g_c, f_x, g_x, n_x = p[:5]
         base = p[5] if free_base else 1.0
-        p_c = fixed.transfer(f_c, g_c, central_amp, fv)
+        p_c = fixed.transfer(f_c, g_c, P1_FIVE_LINE_AMPLITUDES[2], fv)
         p_x = fixed.transfer(f_x, g_x, 1.0, fv)
         return base * bg * fixed.contrast([p_c, p_x], [n_p1_ppb, n_x])
 
@@ -701,18 +708,18 @@ def diffusion_coefficient(n_nv_ppb, count, r_vac_nm, anneal_s):
             "d_rms_nm": float(d_rms_nm), "d_nm2_per_s": float(d_coeff)}
 
 
-def epr_double_integral(field_mt, deriv_signal, baseline_frac=0.1):
+def epr_double_integral(field_mt, deriv_signal):
     """Double integral of a derivative EPR sweep, linear baseline removed.
 
     The baseline is a straight line fit to the first and last
-    baseline_frac of the sweep; warns when the correction moves the
+    EPR_BASELINE_FRAC of the sweep; warns when the correction moves the
     result by more than 10%.
     """
     x = np.asarray(field_mt, dtype=float)
     y = np.asarray(deriv_signal, dtype=float)
     if x.ndim != 1 or x.shape != y.shape or len(x) < 8:
         raise ValueError("field and signal must be 1-D arrays, >= 8 points")
-    k = max(int(len(x) * baseline_frac), 2)
+    k = max(int(len(x) * EPR_BASELINE_FRAC), 2)
     edge = np.r_[np.arange(k), np.arange(len(x) - k, len(x))]
     coef = np.polyfit(x[edge], y[edge], 1)
     y_corr = y - np.polyval(coef, x)

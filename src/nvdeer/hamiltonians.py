@@ -37,7 +37,6 @@ __all__ = [
     "electron_spin_operators",
     "drive_operator",
     "drive_amplitude_matrix",
-    "drive_hamiltonian",
     "apply_orientation",
     "p1_ensemble",
     "x_member",
@@ -49,6 +48,11 @@ __all__ = [
 
 _S_HALF = spin_operators(0.5)
 _S_ONE = spin_operators(1.0)
+
+# a transition is drive-allowed when |<a| e1.S |b>| exceeds this; the
+# nuclear-spin-flip satellites of P1 sit two orders below the
+# electron-allowed lines
+ALLOWED_THRESHOLD = 0.1
 
 
 @dataclass(frozen=True)
@@ -227,12 +231,6 @@ def drive_amplitude_matrix(system, field):
     return 2.0 * field.rabi_mhz * drive_operator(system, field)
 
 
-def drive_hamiltonian(system, field, t_us):
-    """Time-dependent drive H1(t) = 2*Omega*sin(2 pi f_B t)*(e1 . S), MHz."""
-    return drive_amplitude_matrix(system, field) * np.sin(
-        2 * np.pi * field.drive_freq_mhz * t_us)
-
-
 def p1_ensemble(params=None, merge_off_axis=False):
     """The standard four-orientation P1 ensemble, equal weights.
 
@@ -259,41 +257,32 @@ def x_member(params=None):
     return SpinSystem("X", orientation_families()[0], params, weight=1.0)
 
 
-def nv_onaxis_member(params=None, weight=0.25):
+def nv_onaxis_member(params=None):
+    """The on-axis NV member, weight 1/4."""
     if params is None:
         params = NVParams()
-    return SpinSystem("NV", orientation_families()[0], params, weight=weight)
+    return SpinSystem("NV", orientation_families()[0], params, weight=0.25)
 
 
-def nv_offaxis_member(params=None, weight=0.75, azimuth_index=0):
-    """One off-axis NV member standing for the three degenerate families.
-
-    The default weight 3/4 covers all off-axis NVs; pass weight=0.25 and
-    azimuth_index 0..2 to enumerate them individually.
-    """
+def nv_offaxis_member(params=None):
+    """One off-axis NV member standing for the three degenerate families:
+    the [-111] family at weight 3/4."""
     if params is None:
         params = NVParams()
-    fam = orientation_families()[1 + azimuth_index]
-    return SpinSystem("NV", fam, params, weight=weight)
+    return SpinSystem("NV", orientation_families()[1], params, weight=0.75)
 
 
-def p1_line_table(field, params=None, populations=None):
+def p1_line_table(field, params=None):
     """(frequency, area fraction) of the allowed P1 lines at this field.
 
     Six rows (three per orientation family, the off-axis families merged
-    at weight 3/4), sorted by frequency.  Amplitudes assume the given
-    level populations (uniform by default), so each allowed line of a
-    family carries weight * (pop_a + pop_b).
+    at weight 3/4), sorted by frequency.  Level populations are uniform,
+    so each allowed line of a family carries weight * (1/6 + 1/6).
     """
     rows = []
     for member in p1_ensemble(params, merge_off_axis=True):
-        trans = allowed_transitions(member, field)
-        if populations is None:
-            pops = np.full(6, 1.0 / 6.0)
-        else:
-            pops = np.asarray(populations, dtype=float)
-        for f, _, a, b in trans:
-            rows.append((f, member.weight * (pops[a - 1] + pops[b - 1])))
+        for f, _, _, _ in allowed_transitions(member, field):
+            rows.append((f, member.weight * (2.0 / 6.0)))
     rows.sort(key=lambda r: r[0])
     return rows
 
@@ -348,13 +337,12 @@ def transition_frequency(h, level_a, level_b):
     return abs(w[level_b - 1] - w[level_a - 1])
 
 
-def allowed_transitions(system, field, threshold=0.1):
+def allowed_transitions(system, field):
     """Drive-allowed transitions of one member in the given field.
 
     Diagonalizes the static Hamiltonian and evaluates the drive coupling
     matrix elements between eigenstates.  A transition counts as allowed
-    when |<a| e1.S |b>| exceeds `threshold` (the nuclear-spin-flip
-    satellites of P1 sit two orders below the electron-allowed lines).
+    when |<a| e1.S |b>| exceeds ALLOWED_THRESHOLD.
 
     Returns
     -------
@@ -370,7 +358,7 @@ def allowed_transitions(system, field, threshold=0.1):
     for a in range(n):
         for b in range(a + 1, n):
             el = abs(m[a, b])
-            if el > threshold:
+            if el > ALLOWED_THRESHOLD:
                 out.append((float(w[b] - w[a]), float(el), a + 1, b + 1))
     out.sort(key=lambda r: r[0])
     return out

@@ -56,6 +56,9 @@ _K_ISC_1 = 53.3        # ms=+-1 excited -> singlet
 _K_S0 = 1.0            # singlet -> ms=0 ground
 _K_S1 = 0.7            # singlet -> ms=+-1 ground
 
+# pulses steady_state_populations iterates before giving up
+MAX_PULSES = 200
+
 
 def base_rate_matrix(beta=0.03):
     """Unmixed 7x7 rate table k0[i, j] = rate i -> j in us^-1.
@@ -223,25 +226,25 @@ def ground_populations(n):
     return g / tot
 
 
-def steady_state_populations(params, train, tol=1e-6, max_pulses=200):
+def steady_state_populations(params, train, tol=1e-6):
     """Iterate the pulse train to its periodic steady state.
 
     Returns (populations_7vector_at_readout, n_pulses_to_converge) where
     convergence means the ground fractions move less than tol between
-    consecutive pulses; raises NumericError when max_pulses do not
+    consecutive pulses; raises NumericError when MAX_PULSES do not
     converge.
     """
     u_on, u_wait, u_tail = _period_propagators(params, train)
     n = np.array([1 / 3, 1 / 3, 1 / 3, 0, 0, 0, 0.0])
     prev = ground_populations(n)
-    for i in range(1, max_pulses + 1):
+    for i in range(1, MAX_PULSES + 1):
         n_ro = u_wait @ (u_on @ n)
         n = u_tail @ n_ro
         g = ground_populations(n_ro)
         if np.abs(g - prev).max() < tol:
             return n_ro, i
         prev = g
-    raise NumericError(f"no steady state after {max_pulses} pulses")
+    raise NumericError(f"no steady state after {MAX_PULSES} pulses")
 
 
 def signal_fraction(populations, transition=(2, 3), off_axis_share=0.75):

@@ -133,7 +133,7 @@ def check_eseem():
                    gamma_n=gamma_n)
 
 
-def check_sim_vs_analytic(substeps=40):
+def check_sim_vs_analytic():
     """Numeric P1 five-line spectrum vs the closed-form contrast model."""
     t0 = time.time()
     members = p1_ensemble(merge_off_axis=True)
@@ -142,8 +142,7 @@ def check_sim_vs_analytic(substeps=40):
     lo = min(f) - 12.0
     hi = max(f) + 12.0
     fgrid = np.arange(lo, hi + 0.25, 0.5)
-    p_num = ensemble_transfer(members, FIELD, fgrid, 0.25,
-                              substeps=substeps)
+    p_num = ensemble_transfer(members, FIELD, fgrid, 0.25)
     peaks = [LorentzianPeak(fi, 0.0, ai) for fi, ai in rows]
     p_ana = population_transfer(peaks, FIELD.rabi_mhz, fgrid, 0.25)
     i_num = deer_signal_from_transfer(p_num, 200.0, 20.0)
@@ -173,9 +172,10 @@ def check_rabi_oracle():
                    f"max |dP| = {worst:.2e}", "< 1e-2", t0, max_dev=worst)
 
 
-def check_round_trip(seed=42):
+def check_round_trip():
     """Synthetic two-species spectrum through the staged fit pipeline."""
     t0 = time.time()
+    seed = 42
     n_p1_true, n_x_true, gamma_true = 200.0, 13.0, 1.2
     omega, t_b, t_b_delay = 2.0, 0.25, 20.0
     rng = np.random.default_rng(seed)

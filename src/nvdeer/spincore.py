@@ -22,7 +22,6 @@ __all__ = [
     "rotation_matrix",
     "Orientation",
     "orientation_families",
-    "ORIENTATIONS",
     "TETRAHEDRAL_ANGLE_DEG",
     "FieldConfiguration",
     "tensor_embed",
@@ -33,6 +32,9 @@ __all__ = [
 # arccos(-1/3) = 109.4712 deg, the rounded figure is the conventional one
 # and is what the orientation tables below use.
 TETRAHEDRAL_ANGLE_DEG = 109.5
+
+# relative Hermiticity tolerance of eigensystem
+HERM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -155,9 +157,6 @@ def orientation_families():
     )
 
 
-ORIENTATIONS = orientation_families()
-
-
 @dataclass(frozen=True)
 class FieldConfiguration:
     """Static field plus linear microwave drive settings.
@@ -245,7 +244,7 @@ def tensor_embed(op, slot, dims):
     return out
 
 
-def eigensystem(h, herm_tol=1e-9):
+def eigensystem(h):
     """Eigenvalues and phase-fixed eigenvectors of a Hermitian matrix.
 
     Eigenvalues come out ascending (numpy.linalg.eigh order).  Each
@@ -255,9 +254,8 @@ def eigensystem(h, herm_tol=1e-9):
     Parameters
     ----------
     h : ndarray
-        Square matrix, Hermitian to within herm_tol (relative to its norm).
-    herm_tol : float
-        Relative Hermiticity tolerance.
+        Square matrix, Hermitian to within HERM_TOL (1e-9) relative to
+        its largest entry.
 
     Returns
     -------
@@ -268,7 +266,7 @@ def eigensystem(h, herm_tol=1e-9):
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("h must be a square matrix")
     scale = max(np.abs(h).max(), 1.0)
-    if np.abs(h - h.conj().T).max() > herm_tol * scale:
+    if np.abs(h - h.conj().T).max() > HERM_TOL * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh(h)
     # phase gauge: largest |component| of each column made real positive

@@ -1,6 +1,6 @@
 """Light container for 1-D measured or simulated traces."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -13,8 +13,7 @@ class SpectrumTrace:
     """A sampled 1-D signal: x grid, values, optional per-point errors.
 
     Used for frequency sweeps (x in MHz), time sweeps (x in us) and field
-    sweeps (x in mT); the axis labels say which.  meta carries free-form
-    provenance (config hash, seed, experiment name).
+    sweeps (x in mT); the axis labels say which.
     """
 
     x: np.ndarray
@@ -22,7 +21,6 @@ class SpectrumTrace:
     y_err: Optional[np.ndarray] = None
     x_label: str = ""
     y_label: str = ""
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
@@ -44,4 +42,4 @@ class SpectrumTrace:
         m = (self.x >= x_min) & (self.x <= x_max)
         err = self.y_err[m] if self.y_err is not None else None
         return SpectrumTrace(self.x[m], self.y[m], err,
-                             self.x_label, self.y_label, dict(self.meta))
+                             self.x_label, self.y_label)

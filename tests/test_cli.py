@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from nvdeer.cli import main
+from nvdeer.cli import load_config, main
 from nvdeer.datasets import DataSet, read_summary
 
 
@@ -131,7 +131,25 @@ def test_bad_config_file_exit_2(tmp_path):
     fractional.write_text(json.dumps({"sweep": {"n_points": 12.7}}))
     assert run("simulate", "-e", "hahn", "--config", str(fractional),
                "--out", str(tmp_path)) == 2
+    # a bool key takes true/false or 0/1, not any number
+    for number in (0.5, 2):
+        not_bool = tmp_path / "not_bool.json"
+        not_bool.write_text(json.dumps({"experiment": "hahn",
+                                        "fit": {"two_species": number}}))
+        assert run("simulate", "--config", str(not_bool),
+                   "--out", str(tmp_path)) == 2
     assert not (tmp_path / "hahn.csv").exists()
+
+
+@pytest.mark.parametrize("value,expected", [
+    (True, True), (False, False), (0, False), (1, True), ("true", True),
+    ("false", False), ("1", True), ("0", False), ("yes", True),
+    ("no", False)])
+def test_bool_config_values(tmp_path, value, expected):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"fit": {"two_species": value}}))
+    cfg = load_config("hahn", str(path))
+    assert cfg["fit.two_species"] is expected
 
 
 def test_missing_experiment_exit_2(tmp_path):
@@ -148,6 +166,17 @@ def test_fit_missing_data_exit_3(tmp_path):
     assert run("fit", "-e", "hahn", "--out", str(tmp_path)) == 3
     assert run("fit", "-e", "hahn", "--data", str(tmp_path / "nope.csv"),
                "--out", str(tmp_path)) == 3
+
+
+def test_fit_data_takes_one_file(tmp_path, capsys):
+    sim = tmp_path / "sim"
+    assert run("simulate", "-e", "hahn", "--out", str(sim)) == 0
+    with pytest.raises(SystemExit) as exc:
+        run("fit", "-e", "hahn", "--data", str(sim / "hahn.csv"),
+            str(tmp_path / "nonexistent.csv"), "--out", str(tmp_path / "fit"))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "fit").exists()
 
 
 def test_fit_flat_nutation_exit_4(tmp_path):

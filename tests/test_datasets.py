@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from nvdeer import SpectrumTrace
 from nvdeer.datasets import (DataSet, read_summary, write_plot_spec,
                              write_summary)
 from nvdeer.errors import DataError
@@ -83,21 +82,33 @@ def test_read_reports_line_numbers(tmp_path):
         DataSet.read_csv(path)
 
 
+def test_read_rejects_repeated_column(tmp_path):
+    # a repeated name would let the last column replace the first
+    path = tmp_path / "dup.csv"
+    path.write_text("# nvdeer-dataset v1\n# units: us,1,1\n"
+                    "t_us,echo,echo\n1.0,0.9,0.5\n2.0,0.8,0.4\n")
+    with pytest.raises(DataError, match="line 3: column 'echo'"):
+        DataSet.read_csv(path)
+
+
 def test_read_missing_file_raises_data_error(tmp_path):
     with pytest.raises(DataError):
         DataSet.read_csv(tmp_path / "nope.csv")
 
 
 def test_trace_round_trip(tmp_path):
-    trace = SpectrumTrace(np.array([1.0, 2.0, 3.0]),
-                          np.array([0.9, 0.8, 0.85]),
-                          y_err=np.array([0.01, 0.01, 0.02]))
-    ds = DataSet.from_trace(trace, "t_us", "contrast", "us", "1")
-    assert list(ds.columns) == ["t_us", "contrast", "contrast_err"]
-    back = ds.to_trace("t_us", "contrast", err_col="contrast_err")
-    assert np.array_equal(back.x, trace.x)
-    assert np.array_equal(back.y, trace.y)
-    assert np.array_equal(back.y_err, trace.y_err)
+    cols = {"t_us": np.array([1.0, 2.0, 3.0]),
+            "contrast": np.array([0.9, 0.8, 0.85]),
+            "contrast_err": np.array([0.01, 0.01, 0.02])}
+    ds = DataSet(columns=cols,
+                 units={"t_us": "us", "contrast": "1", "contrast_err": "1"})
+    path = tmp_path / "t.csv"
+    ds.write_csv(path)
+    back = DataSet.read_csv(path).to_trace("t_us", "contrast",
+                                           err_col="contrast_err")
+    assert np.array_equal(back.x, cols["t_us"])
+    assert np.array_equal(back.y, cols["contrast"])
+    assert np.array_equal(back.y_err, cols["contrast_err"])
     assert back.x_label == "t_us (us)"
     with pytest.raises(DataError):
         ds.to_trace("t_us", "missing")
@@ -135,15 +146,13 @@ def test_plot_spec_layout(tmp_path):
     path = tmp_path / "plot.json"
     write_plot_spec(path, "spectrum", "f_B (MHz)", "I",
                     [{"file": "spectrum.csv", "x": "f_mhz", "y": "contrast",
-                      "label": "data"}],
-                    extras={"lines_mhz": [931.9, 1048.9]})
+                      "label": "data"}])
     spec = json.loads(path.read_text())
+    assert sorted(spec) == ["series", "title", "x_label", "y_label"]
     assert spec["title"] == "spectrum"
     assert spec["series"][0]["file"] == "spectrum.csv"
-    assert spec["lines_mhz"] == [931.9, 1048.9]
     # stable serialization
     write_plot_spec(tmp_path / "b.json", "spectrum", "f_B (MHz)", "I",
                     [{"file": "spectrum.csv", "x": "f_mhz", "y": "contrast",
-                      "label": "data"}],
-                    extras={"lines_mhz": [931.9, 1048.9]})
+                      "label": "data"}])
     assert path.read_bytes() == (tmp_path / "b.json").read_bytes()

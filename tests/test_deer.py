@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from nvdeer import (DeerModelParams, LorentzianPeak, LorentzianPeakSet,
-                    P1_FIVE_LINE_AMPLITUDES, deer_signal,
-                    deer_signal_from_transfer, detection_limit_ppb,
-                    lorentzian, normalize_signal, population_transfer,
-                    rabi_probability)
+from nvdeer import (LorentzianPeak, LorentzianPeakSet,
+                    P1_FIVE_LINE_AMPLITUDES, deer_signal_from_transfer,
+                    detection_limit_ppb, lorentzian, normalize_signal,
+                    population_transfer, rabi_probability)
 from nvdeer import constants as c
 
 
@@ -85,10 +84,9 @@ def test_population_transfer_bounded():
 
 def test_deer_signal_zero_concentration_flat():
     peaks = LorentzianPeakSet([LorentzianPeak(1042.0, 1.2, 1.0)])
-    params = DeerModelParams(peaks=peaks, n_b_ppb=0.0, t_b_delay_us=20.0,
-                             omega_mhz=2.0, t_b_us=0.25)
     f = np.linspace(1020.0, 1064.0, 45)
-    assert np.all(deer_signal(params, f) == 1.0)
+    p_b = population_transfer(peaks, 2.0, f, 0.25)
+    assert np.all(deer_signal_from_transfer(p_b, 0.0, 20.0) == 1.0)
 
 
 def test_deer_signal_monotone_in_concentration():

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from nvdeer import (FieldConfiguration, SinusoidalDrive, compute_sigma,
-                    ensemble_transfer, nv_offaxis_member, nv_onaxis_member,
-                    p1_ensemble, propagate, propagate_unitary,
-                    rabi_probability, simulate_rabi, spin_operators,
-                    static_hamiltonian, transition_probability,
-                    transition_spectrum, x_member)
+from nvdeer import (SinusoidalDrive, compute_sigma, ensemble_transfer,
+                    nv_offaxis_member, nv_onaxis_member, p1_ensemble,
+                    propagate_unitary, rabi_probability, simulate_rabi,
+                    spin_operators, static_hamiltonian, transition_spectrum,
+                    x_member)
 from nvdeer.hamiltonians import drive_amplitude_matrix
 
 
@@ -60,32 +59,6 @@ def test_rabi_against_closed_form(det_factor):
         assert abs(p_num - rabi_probability(omega, det, t)) < 1e-2
 
 
-def test_propagate_density_matrix_properties():
-    h0, drive = _two_level(0.0, 2.0, 1042.0)
-    rho0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    rho = propagate(h0, drive, rho0, 0.17)
-    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-9)
-    assert np.allclose(rho, rho.conj().T, atol=1e-9)
-    evals = np.linalg.eigvalsh(rho)
-    assert np.all(evals > -1e-9)
-    # purity preserved under unitary evolution
-    assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-8)
-
-
-def test_propagate_rejects_bad_density():
-    h0, drive = _two_level(0.0, 2.0, 1042.0)
-    with pytest.raises(ValueError):
-        propagate(h0, drive, np.array([[0.7, 0.0], [0.0, 0.7]],
-                                      dtype=complex), 0.1)
-
-
-def test_transition_probability_bounds():
-    rho_a = np.diag([1.0, 0.0]).astype(complex)
-    assert transition_probability(rho_a, rho_a) == pytest.approx(0.0)
-    rho_b = np.diag([0.0, 1.0]).astype(complex)
-    assert transition_probability(rho_a, rho_b) == pytest.approx(1.0)
-
-
 def test_simulate_rabi_frequency(field):
     member = x_member()
     from nvdeer import x_line_frequency
@@ -107,14 +80,6 @@ def test_sigma_oracle_values(field):
     h_on = static_hamiltonian(nv_onaxis_member(), field)
     assert compute_sigma(h_on, 1, 2) == pytest.approx(0.5, abs=1e-3)
     assert compute_sigma(h_on, 2, 3) == pytest.approx(1.0, abs=1e-3)
-
-
-def test_sigma_uses_molecular_axis_by_default(field):
-    # explicit quantization axis equal to the default must agree
-    h = static_hamiltonian(nv_offaxis_member(), field)
-    s_default = compute_sigma(h, 2, 3)
-    s_explicit = compute_sigma(h, 2, 3, quant_axis=(0.0, 0.0, 1.0))
-    assert s_default == s_explicit
 
 
 def test_ensemble_transfer_spot_check(field):
