@@ -1,12 +1,12 @@
 """Least-squares estimators for spectra, decays and derived quantities.
 
 All fits go through one trust-region least-squares wrapper (scipy
-least_squares, '3-point' numeric Jacobians) with per-point sigma
-weighting when the trace carries errors, covariance from J^T J scaled by
-the reduced chi-square, and a deterministic 5-start multi-start.  The
-concentration extraction follows the staged protocol: Lorentzian peak
-positions first, Rabi frequency second, then per-peak echo-contrast fits
-with everything but (f_r, Gamma, n_b) frozen.
+least_squares, with the analytic Jacobian every model supplies) with
+per-point sigma weighting when the trace carries errors, covariance from
+J^T J scaled by the reduced chi-square, and a deterministic 5-start
+multi-start.  The concentration extraction follows the staged protocol:
+Lorentzian peak positions first, Rabi frequency second, then per-peak
+echo-contrast fits with everything but (f_r, Gamma, n_b) frozen.
 """
 
 import warnings
@@ -18,8 +18,9 @@ from scipy.signal import find_peaks
 
 from . import constants as c
 from .deer import (LorentzianPeak, LorentzianPeakSet,
-                   P1_FIVE_LINE_AMPLITUDES, deer_signal_from_transfer,
-                   detection_limit_ppb, population_transfer)
+                   P1_FIVE_LINE_AMPLITUDES, contrast_rate_per_ppb,
+                   deer_signal_from_transfer, detection_limit_ppb,
+                   line_transfer_gradient, population_transfer)
 from .errors import DataError, FitError, FitWarning, DataQualityWarning
 
 __all__ = [
@@ -61,6 +62,8 @@ class FitResult:
     converged: bool
     optimality: float = np.nan
     message: str = ""
+    nfev: int = 0
+    njev: int = 0
 
 
 @dataclass
@@ -101,10 +104,11 @@ def _run_fit(model, x, y, sigma, p0, names, lower=None, upper=None,
              seed=0, x_scale=None):
     """Weighted least squares with deterministic multi-start.
 
-    model(x, params_vector) -> y; returns FitResult with params mapped to
-    `names`.  Start 0 is p0, the other N_MULTISTART - 1 starts perturb it
-    by PERTURB of each entry's scale.  Raises FitError when no start
-    converges.
+    model(x, params_vector) -> (y, J) with J[i, j] = dy_i/dp_j; returns
+    FitResult with params mapped to `names` and the winning start's
+    function and Jacobian evaluation counts.  Start 0 is p0, the other
+    N_MULTISTART - 1 starts perturb it by PERTURB of each entry's scale.
+    Raises FitError when no start converges.
     """
     p0 = np.asarray(p0, dtype=float)
     k = len(p0)
@@ -113,8 +117,23 @@ def _run_fit(model, x, y, sigma, p0, names, lower=None, upper=None,
     lo = -np.inf * np.ones(k) if lower is None else np.asarray(lower, float)
     hi = np.inf * np.ones(k) if upper is None else np.asarray(upper, float)
 
+    # least_squares asks for the Jacobian at the point it just evaluated,
+    # so one model call serves both
+    last = {}
+
+    def evaluate(p):
+        key = p.tobytes()
+        if last.get("key") != key:
+            yv, jv = model(x, p)
+            last.update(key=key, fun=(yv - y) / sigma,
+                        jac=jv / sigma[:, None])
+        return last
+
     def residual(p):
-        return (model(x, p) - y) / sigma
+        return evaluate(p)["fun"]
+
+    def jacobian(p):
+        return evaluate(p)["jac"]
 
     rng = np.random.default_rng(seed)
     scale = np.where(np.abs(p0) > 0, np.abs(p0), 1.0)
@@ -123,7 +142,7 @@ def _run_fit(model, x, y, sigma, p0, names, lower=None, upper=None,
         start = p0 if s == 0 else np.clip(
             p0 + PERTURB * scale * rng.standard_normal(k), lo, hi)
         try:
-            res = least_squares(residual, start, jac="3-point",
+            res = least_squares(residual, start, jac=jacobian,
                                 bounds=(lo, hi), method="trf",
                                 x_scale=x_scale if x_scale is not None else "jac")
         except ValueError:
@@ -172,6 +191,8 @@ def _run_fit(model, x, y, sigma, p0, names, lower=None, upper=None,
         converged=bool(best.status > 0),
         optimality=float(best.optimality),
         message=str(best.message),
+        nfev=int(best.nfev),
+        njev=int(best.njev or 0),
     )
 
 
@@ -234,10 +255,17 @@ def fit_lorentzian_peaks(trace, n_peaks, init=None, seed=0):
 
     def model(xv, p):
         out = np.full_like(xv, p[0])
+        jac = np.empty((len(xv), len(p)))
+        jac[:, 0] = 1.0
         for i in range(n_peaks):
             f_i, g_i, d_i = p[1 + 3 * i: 4 + 3 * i]
-            out = out - d_i * g_i**2 / (g_i**2 + (xv - f_i)**2)
-        return out
+            u = xv - f_i
+            den = g_i**2 + u**2
+            out = out - d_i * g_i**2 / den
+            jac[:, 1 + 3 * i] = -2.0 * d_i * g_i**2 * u / den**2
+            jac[:, 2 + 3 * i] = -2.0 * d_i * g_i * u**2 / den**2
+            jac[:, 3 + 3 * i] = -g_i**2 / den
+        return out, jac
 
     p0 = [c0]
     names = ["c0"]
@@ -292,8 +320,15 @@ def fit_rabi_frequency(trace, seed=0):
     names = ["c", "a", "tau", "f", "phi"]
 
     def model(tv, p):
-        return p[0] + p[1] * np.exp(-tv / p[2]) * np.cos(
-            2 * np.pi * p[3] * tv + p[4])
+        c_, a, tau, f, phi = p
+        env = np.exp(-tv / tau)
+        phase = 2 * np.pi * f * tv + phi
+        cos_, sin_ = np.cos(phase), np.sin(phase)
+        jac = np.column_stack([np.ones_like(tv), env * cos_,
+                               a * env * cos_ * tv / tau**2,
+                               -2 * np.pi * a * env * sin_ * tv,
+                               -a * env * sin_])
+        return c_ + a * env * cos_, jac
 
     lo = [-np.inf, 0.0, dt, f0 / 3.0, -np.pi]
     hi = [np.inf, np.inf, np.inf, min(3.0 * f0, freqs[-1] * 1.5), np.pi]
@@ -337,11 +372,22 @@ class DeerFixedParams:
                                    self.omega_mhz, f, self.t_b_us,
                                    method="gauss")
 
+    def transfer_gradient(self, f_r, gamma, amp, f):
+        """transfer() with its derivatives in f_r and gamma
+        (line_transfer_gradient)."""
+        return line_transfer_gradient(LorentzianPeak(f_r, gamma, amp),
+                                      self.omega_mhz, f, self.t_b_us)
+
     def contrast(self, p_b, n_ppb):
         """Echo contrast of one species, or of sequences of several
         (deer_signal_from_transfer)."""
         return deer_signal_from_transfer(p_b, n_ppb, self.t_b_delay_us,
                                          self.sigma_b, self.g_a, self.g_b)
+
+    def rate_per_ppb(self):
+        """C T_B per ppb: d contrast / d n_i = -rate P_i contrast."""
+        return contrast_rate_per_ppb(self.t_b_delay_us, self.sigma_b,
+                                     self.g_a, self.g_b)
 
 
 def _background(fixed, rows, f):
@@ -414,17 +460,23 @@ def fit_concentration_spectrum(trace, seeds, fixed, window_mhz=None,
             raise ValueError(f"window around {f_c:.1f} MHz has too few "
                              "points")
         if n0 is None:
-            p_res = population_transfer([LorentzianPeak(0.0, 0.5, amp)],
-                                        fixed.omega_mhz, 0.0, fixed.t_b_us)
+            p_res = fixed.transfer(0.0, 0.5, amp, 0.0)
             n0 = detection_limit_ppb(
                 np.clip(1.0 - sub.y.min(), 1e-4, 0.999), fixed.t_b_delay_us,
                 fixed.sigma_b, max(p_res, 1e-6), fixed.g_a, fixed.g_b)
         bg = _background(fixed, background or [], sub.x)
+        rate = fixed.rate_per_ppb()
 
         def model(fv, p):
             base = p[3] if background is None else 1.0
-            pb = fixed.transfer(p[0], max(p[1], 0.0), amp, fv)
-            return base * bg * fixed.contrast(pb, p[2])
+            pb, dpb_df, dpb_dg = fixed.transfer_gradient(p[0], p[1], amp, fv)
+            contrast = fixed.contrast(pb, p[2])
+            out = base * bg * contrast
+            cols = [-rate * p[2] * dpb_df * out, -rate * p[2] * dpb_dg * out,
+                    -rate * pb * out]
+            if background is None:
+                cols.append(bg * contrast)
+            return out, np.column_stack(cols)
 
         p0 = [f_c, g_c, n0]
         names = ["f_r", "gamma", "n_ppb"]
@@ -488,13 +540,23 @@ def fit_central_line_two_species(trace, n_p1_ppb, fixed, x_offset_mhz=-7.0,
         raise ValueError("n_p1_ppb must be >= 0")
     free_base = background is None
     bg = _background(fixed, background or [], trace.x)
+    rate = fixed.rate_per_ppb()
 
     def model(fv, p):
         f_c, g_c, f_x, g_x, n_x = p[:5]
         base = p[5] if free_base else 1.0
-        p_c = fixed.transfer(f_c, g_c, P1_FIVE_LINE_AMPLITUDES[2], fv)
-        p_x = fixed.transfer(f_x, g_x, 1.0, fv)
-        return base * bg * fixed.contrast([p_c, p_x], [n_p1_ppb, n_x])
+        p_c, dc_df, dc_dg = fixed.transfer_gradient(
+            f_c, g_c, P1_FIVE_LINE_AMPLITUDES[2], fv)
+        p_x, dx_df, dx_dg = fixed.transfer_gradient(f_x, g_x, 1.0, fv)
+        contrast = fixed.contrast([p_c, p_x], [n_p1_ppb, n_x])
+        out = base * bg * contrast
+        cols = [-rate * n_p1_ppb * dc_df * out,
+                -rate * n_p1_ppb * dc_dg * out,
+                -rate * n_x * dx_df * out, -rate * n_x * dx_dg * out,
+                -rate * p_x * out]
+        if free_base:
+            cols.append(bg * contrast)
+        return out, np.column_stack(cols)
 
     f_c0 = trace.x[np.argmin(trace.y)]
     n_x0 = max(0.05 * n_p1_ppb, 1.0)
@@ -545,7 +607,9 @@ def fit_deer_decay(trace, p_b, sigma_b=0.5, g_a=c.G_ELECTRON,
                       FitWarning)
 
     def model(tv, p):
-        return deer_signal_from_transfer(p_b, p[0], tv, sigma_b, g_a, g_b)
+        out = deer_signal_from_transfer(p_b, p[0], tv, sigma_b, g_a, g_b)
+        rate = contrast_rate_per_ppb(tv, sigma_b, g_a, g_b)
+        return out, (-rate * p_b * out)[:, None]
 
     # seed: the log-slope is the contrast lost per us; a flat or rising
     # trace clips to the floor of 1 ppb
@@ -564,6 +628,17 @@ def fit_deer_decay(trace, p_b, sigma_b=0.5, g_a=c.G_ELECTRON,
 
 # ------------------------------------------------------------- decays
 
+def _stretched_exp(tv, a, t2, n):
+    """a exp(-(t/T2)^n) and its derivatives in (a, T2, n) as columns;
+    t < 0 counts as 0, where the n derivative is 0."""
+    ratio = np.clip(tv, 0, None) / t2
+    q = np.power(ratio, n)
+    env = np.exp(-q)
+    out = a * env
+    log_r = np.log(ratio, out=np.zeros_like(ratio), where=ratio > 0)
+    return out, np.column_stack([env, out * n * q / t2, -out * q * log_r])
+
+
 def fit_hahn_decay(trace, seed=0):
     """Stretched-exponential echo decay a exp(-(t/T2)^n).
 
@@ -578,12 +653,8 @@ def fit_hahn_decay(trace, seed=0):
     below = t[y < a0 / np.e]
     t2_0 = float(below[0]) if len(below) else float(t[-1])
 
-    def model(tv, p):
-        a, t2, n = p
-        return a * np.exp(-np.power(np.clip(tv, 0, None) / t2, n))
-
-    res = _run_fit(model, t, y, _weights(trace), [a0, t2_0, 1.5],
-                   ["a", "t2_us", "n"],
+    res = _run_fit(lambda tv, p: _stretched_exp(tv, *p), t, y,
+                   _weights(trace), [a0, t2_0, 1.5], ["a", "t2_us", "n"],
                    lower=[0.0, np.min(np.diff(t)), 0.2],
                    upper=[np.inf, np.inf, 6.0], seed=seed)
     return res
@@ -618,9 +689,15 @@ def fit_eseem(trace, b0_mt, seed=0):
         raise ValueError("trace must span at least 2 modulation periods")
 
     def model(tv, p):
-        a, t2, n, k_mod, f, phi = p
-        envl = a * np.exp(-np.power(np.clip(tv, 0, None) / t2, n))
-        return envl * (1.0 - k_mod * np.sin(np.pi * f * tv + phi) ** 2)
+        k_mod, f, phi = p[3:]
+        envl, d_env = _stretched_exp(tv, *p[:3])
+        phase = np.pi * f * tv + phi
+        sin2 = np.sin(phase) ** 2
+        mod = 1.0 - k_mod * sin2
+        d_phase = -envl * k_mod * np.sin(2.0 * phase)
+        jac = np.column_stack([d_env * mod[:, None], -envl * sin2,
+                               d_phase * np.pi * tv, d_phase])
+        return envl * mod, jac
 
     res = _run_fit(model, t, y, _weights(trace),
                    [a0, t2_0, n0, 0.5 * (1 - resid.min()), 2 * f0, 0.0],
@@ -654,7 +731,9 @@ def fit_saturation(trace, background=None, seed=0):
         raise ValueError("powers must be non-negative")
 
     def model(pv, p):
-        return p[0] * pv / (pv + p[1])
+        den = pv + p[1]
+        out = p[0] * pv / den
+        return out, np.column_stack([pv / den, -out / den])
 
     p_sat0 = float(np.median(x[x > 0])) if np.any(x > 0) else 1.0
     res = _run_fit(model, x, y, _weights(trace),

@@ -1,7 +1,15 @@
-import numpy as np
-import pytest
+import os
 
-from nvdeer import FieldConfiguration
+# One BLAS thread: the fits make many small matrix products, where extra
+# threads only double the CPU time and, on a busy host, oversubscribe the
+# cores.  This must run before numpy is first imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from nvdeer import FieldConfiguration  # noqa: E402
 
 
 @pytest.fixture

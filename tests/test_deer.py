@@ -6,6 +6,7 @@ from nvdeer import (LorentzianPeak, LorentzianPeakSet,
                     detection_limit_ppb, lorentzian, normalize_signal,
                     population_transfer, rabi_probability)
 from nvdeer import constants as c
+from nvdeer import deer
 
 
 def test_five_line_amplitudes():
@@ -72,6 +73,27 @@ def test_population_transfer_quadrature_paths_agree():
     p_ref = population_transfer(peaks, omega, f, t_b, method="adaptive")
     p_fast = population_transfer(peaks, omega, f, t_b, method="gauss")
     assert np.max(np.abs(p_ref - p_fast)) < 5e-4
+
+
+def test_gauss_rule_built_once(monkeypatch):
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting(n):
+        calls.append(n)
+        return leggauss(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    deer._gauss_rule.cache_clear()
+    f = np.linspace(1020.0, 1064.0, 89)
+    peak = LorentzianPeak(1042.0, 1.2, 0.7)
+    first = population_transfer([peak], 2.0, f, 0.25, method="gauss")
+    for _ in range(3):
+        again = population_transfer([peak], 2.0, f, 0.25, method="gauss")
+        np.testing.assert_array_equal(again, first)
+    np.testing.assert_array_equal(
+        deer.line_transfer_gradient(peak, 2.0, f, 0.25)[0], first)
+    assert calls == [deer.N_GAUSS_NODES]
 
 
 def test_population_transfer_bounded():

@@ -12,6 +12,7 @@ from nvdeer import (DeerFixedParams, FieldConfiguration, LorentzianPeak,
                     nv_count, p1_line_table, population_transfer,
                     simulate_rabi, x_line_frequency, x_member)
 from nvdeer import constants as c
+from nvdeer import fitting
 from nvdeer.errors import DataError, DataQualityWarning, FitError, FitWarning
 
 OMEGA = 2.0
@@ -49,6 +50,8 @@ def test_single_dip_noiseless_exact():
     assert abs(res.params["depth_0"] - 0.3) < 1e-6
     assert res.residual_norm < 1e-8
     assert peaks[0].amp == pytest.approx(1.0)
+    # the solver's counts of the winning start are kept
+    assert 1 <= res.njev <= res.nfev
 
 
 def test_five_dips_with_noise(rng):
@@ -472,3 +475,131 @@ def test_aggregate_fallback_on_bad_errors():
 def test_aggregate_needs_two():
     with pytest.raises(ValueError):
         aggregate_estimates([10.0])
+
+
+# --------------------------------------------------- analytic Jacobians
+
+def three_point_jacobian(model, x, p, rel_step=1e-7):
+    """Central ('3-point') finite differences of model(x, p)[0], the
+    reference for the analytic Jacobians.  The step is smaller than
+    least_squares' default: the Gauss-rule sums change fast in gamma
+    through the tan(theta) ~ 1e4 of the outermost nodes."""
+    p = np.asarray(p, dtype=float)
+    cols = []
+    for j in range(len(p)):
+        step = np.zeros_like(p)
+        step[j] = rel_step * max(1.0, abs(p[j]))
+        cols.append((model(x, p + step)[0] - model(x, p - step)[0])
+                    / (2.0 * step[j]))
+    return np.column_stack(cols)
+
+
+@pytest.fixture
+def fit_models(monkeypatch):
+    """(names, model, x, start, fitted params) of every _run_fit call."""
+    seen = []
+    run_fit = fitting._run_fit
+
+    def recording(model, x, y, sigma, p0, names, **kwargs):
+        res = run_fit(model, x, y, sigma, p0, names, **kwargs)
+        seen.append((tuple(names), model, x, np.asarray(p0, dtype=float),
+                     np.array([res.params[n] for n in names])))
+        return res
+
+    monkeypatch.setattr(fitting, "_run_fit", recording)
+    return seen
+
+
+def _dips(rng):
+    x = np.arange(980.0, 1020.0, 0.1)
+    y = (1.0 - 0.3 * 2.0**2 / (2.0**2 + (x - 995.0) ** 2)
+         - 0.2 * 1.5**2 / (1.5**2 + (x - 1006.0) ** 2))
+    fit_lorentzian_peaks(SpectrumTrace(x, y + 0.01 * rng.standard_normal(
+        len(x))), 2)
+
+
+def _rabi(rng):
+    t = np.linspace(0.02, 2.0, 150)
+    y = 0.5 - 0.5 * np.exp(-t / 6.0) * np.cos(2 * np.pi * 2.5 * t)
+    fit_rabi_frequency(SpectrumTrace(t, y + 0.005 * rng.standard_normal(
+        len(t))))
+
+
+def _per_line(rng):
+    # first pass with a free baseline, second with the neighbours'
+    # background and the baseline pinned
+    trace = three_line_trace(150.0)
+    noisy = SpectrumTrace(trace.x, trace.y + 0.002 * rng.standard_normal(
+        len(trace)))
+    fit_concentration_spectrum(noisy, THREE_CENTERS, make_fixed(THREE_AMPS))
+
+
+def _central(rng):
+    trace = central_trace(200.0, 13.0)
+    noisy = SpectrumTrace(trace.x, trace.y + 0.002 * rng.standard_normal(
+        len(trace)))
+    fit_central_line_two_species(noisy, 200.0, make_fixed([0.25]))
+    fit_central_line_two_species(noisy, 200.0, make_fixed([0.25]),
+                                 background=[(200.0, 1060.0, 1.2, 0.25)])
+
+
+def _decay(rng):
+    t = np.linspace(5.0, 300.0, 30)
+    fit_deer_decay(decay_trace(100.0, 0.2, t, noise=0.01, rng=rng), 0.2)
+
+
+def _hahn(rng):
+    # starts at t = 0, where the n derivative of (t/T2)^n is set to 0
+    t = np.linspace(0.0, 700.0, 60)
+    y = np.exp(-np.power(t / 313.0, 1.80))
+    fit_hahn_decay(SpectrumTrace(t, y + 0.02 * rng.standard_normal(len(t))))
+
+
+def _eseem(rng):
+    t = np.linspace(0.3, 14.0, 200)
+    y = np.exp(-np.power(t / 8.0, 1.5)) * (
+        1.0 - 0.35 * np.sin(np.pi * 0.1985 * t) ** 2)
+    fit_eseem(SpectrumTrace(t, y + 0.004 * rng.standard_normal(len(t))),
+              37.2)
+
+
+def _saturation(rng):
+    p = np.linspace(0.0, 2.0, 30)
+    y = 100.0 * p / (p + 1.0) + 0.1 * rng.standard_normal(len(p))
+    fit_saturation(SpectrumTrace(p, y))
+
+
+@pytest.mark.parametrize("run", [_dips, _rabi, _per_line, _central, _decay,
+                                 _hahn, _eseem, _saturation],
+                         ids=lambda f: f.__name__.strip("_"))
+def test_analytic_jacobian_matches_three_point(run, fit_models, rng):
+    run(rng)
+    assert fit_models
+    for names, model, x, start, fitted in fit_models:
+        for p in (start, fitted):
+            jac = model(x, p)[1]
+            ref = three_point_jacobian(model, x, p)
+            assert jac.shape == (len(x), len(names))
+            scale = np.abs(ref).max(axis=0)
+            assert np.all(scale > 0), names
+            np.testing.assert_array_less(np.abs(jac - ref).max(axis=0),
+                                         1e-6 * scale, err_msg=str(names))
+
+
+def test_line_jacobian_zero_where_transfer_clips():
+    # a line of area 1.5 under a pi pulse: before the clip P > 1 on
+    # resonance, so there the flip probability and its slopes are flat
+    fixed = make_fixed([1.5])
+    f = np.array([1000.0, 1001.5, 1004.0])
+    p, d_fr, d_gamma = fixed.transfer_gradient(1000.0, 0.3, 1.5, f)
+    np.testing.assert_array_equal(p, fixed.transfer(1000.0, 0.3, 1.5, f))
+    assert p[0] == 1.0 and d_fr[0] == 0.0 and d_gamma[0] == 0.0
+    assert np.all(p[1:] < 1.0)
+
+    def model(x, q):
+        return fixed.transfer(q[0], q[1], 1.5, x), None
+
+    ref = three_point_jacobian(model, f, [1000.0, 0.3])
+    np.testing.assert_allclose(np.column_stack([d_fr, d_gamma]), ref,
+                               rtol=0, atol=1e-6 * np.abs(ref).max())
+    assert np.all(ref[0] == 0.0)
