@@ -52,7 +52,7 @@ y_meas = (0.5 + (trace.y - 0.5) * env
           + 0.01 * rng.standard_normal(len(t_grid)))
 noisy = SpectrumTrace(trace.x, y_meas, x_label=trace.x_label,
                       y_label=trace.y_label)
-omega_fit, info = fit_rabi_frequency(noisy, seed=7)
+omega_fit, info = fit_rabi_frequency(noisy)
 print(f"\nnutation fit on 1% noisy trace: Omega = {omega_fit:.4f} MHz "
       f"(true {OMEGA:.1f}), pi-pulse length = {0.5 / omega_fit:.4f} us, "
       f"decay tau = {info.params['tau']:.1f} us")

@@ -13,7 +13,10 @@ runs in the same three stages the command-line pipeline uses:
 3. per-peak concentration fits with the line widths free, then a
    two-species refit of the central group that separates X from P1.
 
-Takes about a minute; most of it is stage 3 multistart fitting.
+The spectrum is made from the six P1 lines of p1_line_table, as
+`nvdeer simulate` makes it; the two central lines overlap into one
+observed dip, so stage one finds five.  Every fit makes one start from
+its seed; the script runs in a few seconds, most of it imports.
 """
 
 import numpy as np
@@ -22,7 +25,7 @@ from nvdeer import (DeerFixedParams, FieldConfiguration, LorentzianPeak,
                     P1_FIVE_LINE_AMPLITUDES, deer_signal_from_transfer,
                     detection_limit_ppb, fit_central_line_two_species,
                     fit_concentration_spectrum, fit_lorentzian_peaks,
-                    fit_rabi_frequency, p1_group_table, population_transfer,
+                    fit_rabi_frequency, p1_line_table, population_transfer,
                     x_line_frequency)
 from nvdeer.trace import SpectrumTrace
 
@@ -37,15 +40,12 @@ rng = np.random.default_rng(SEED)
 # ----------------------------------------------------------------------
 # synthesize the measured spectrum
 # ----------------------------------------------------------------------
-# merge the two overlapping central P1 lines into one weighted group so
-# the generator matches what a spectrometer resolves (five dips)
-centers, amps = p1_group_table(field)
+rows = p1_line_table(field)
 f_x = x_line_frequency(field)
 
 f_grid = np.arange(900.0, 1190.0, 0.25)
-pt_p1 = sum(population_transfer([LorentzianPeak(fc, GAMMA, aa)],
-                                OMEGA, f_grid, T_B)
-            for fc, aa in zip(centers, amps))
+pt_p1 = population_transfer(
+    [LorentzianPeak(fc, GAMMA, aa) for fc, aa in rows], OMEGA, f_grid, T_B)
 pt_x = population_transfer([LorentzianPeak(f_x, GAMMA, 1.0)],
                            OMEGA, f_grid, T_B)
 y = deer_signal_from_transfer([pt_p1, pt_x], [N_P1, N_X], T_B_DELAY)
@@ -59,7 +59,7 @@ print(f"synthetic spectrum: {len(f_grid)} points, truth "
 # ----------------------------------------------------------------------
 # stage 1: dip positions
 # ----------------------------------------------------------------------
-peakset, _ = fit_lorentzian_peaks(trace, 5, seed=SEED)
+peakset, _ = fit_lorentzian_peaks(trace, 5)
 found = sorted(p.f_r_mhz for p in peakset)
 print("\nstage 1 dip positions (MHz): "
       + ", ".join(f"{f:.2f}" for f in found))
@@ -71,7 +71,7 @@ t_r = np.linspace(0.02, 3.0, 120)
 y_r = (0.5 - 0.5 * np.exp(-t_r / 8.0) * np.cos(2 * np.pi * OMEGA * t_r)
        + 0.01 * rng.standard_normal(len(t_r)))
 omega_fit, _ = fit_rabi_frequency(
-    SpectrumTrace(t_r, y_r, x_label="t (us)", y_label="P"), seed=SEED)
+    SpectrumTrace(t_r, y_r, x_label="t (us)", y_label="P"))
 print(f"stage 2 Rabi frequency: {omega_fit:.4f} MHz")
 
 # ----------------------------------------------------------------------
@@ -80,8 +80,7 @@ print(f"stage 2 Rabi frequency: {omega_fit:.4f} MHz")
 fixed = DeerFixedParams(omega_mhz=omega_fit, t_b_us=T_B,
                         t_b_delay_us=T_B_DELAY,
                         amps=P1_FIVE_LINE_AMPLITUDES)
-est_p1, res_peaks = fit_concentration_spectrum(trace, peakset, fixed,
-                                               seed=SEED)
+est_p1, res_peaks = fit_concentration_spectrum(trace, peakset, fixed)
 print(f"\nstage 3 P1 estimate: {est_p1.value_ppb:.1f} "
       f"+/- {est_p1.uncertainty_ppb:.1f} ppb "
       f"({100 * abs(est_p1.value_ppb / N_P1 - 1):.1f}% off truth)")
@@ -95,7 +94,7 @@ background = [(r.params["n_ppb"], r.params["f_r"], r.params["gamma"], a)
                                              P1_FIVE_LINE_AMPLITUDES))
               if i != 2]
 est_x, _ = fit_central_line_two_species(sub, est_p1.value_ppb, fixed,
-                                        background=background, seed=SEED)
+                                        field=field, background=background)
 print(f"two-species central refit: X = {est_x.value_ppb:.1f} "
       f"+/- {est_x.uncertainty_ppb:.1f} ppb "
       f"({100 * abs(est_x.value_ppb / N_X - 1):.1f}% off truth)")

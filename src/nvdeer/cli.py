@@ -97,7 +97,6 @@ _SCHEMA = {
         "rabi_mhz": (0.0, float, _non_negative),
         "window_mhz": (0.0, float, _non_negative),
         "two_species": (True, bool, _any),
-        "x_offset_mhz": (-7.0, float, _any),
         "p_b": (0.0, float, _fraction),
         "f_init_mhz": ("", str, _any),
     },
@@ -576,7 +575,6 @@ def _estimate_section(est):
 def _fit_deer_spectrum(cfg, args, trace):
     """The staged spectrum fit.  Writes peaks.ini, rabi.ini (with
     --rabi-data) and concentrations.ini; returns the report sections."""
-    seed = cfg["run.seed"]
     sections = {}
 
     # stage 1: line positions (fit.f_init_mhz pins the starting centers
@@ -592,7 +590,7 @@ def _fit_deer_spectrum(cfg, args, trace):
         if len(init) != cfg["fit.n_peaks"]:
             raise ConfigError("fit.f_init_mhz: need one frequency per peak")
     peakset, res1 = fit_lorentzian_peaks(trace, cfg["fit.n_peaks"],
-                                         init=init, seed=seed)
+                                         init=init)
     sections["stage1.peaks"] = _fit_result_section(res1)
     _write_ini(cfg, "peaks.ini", {"peaks": _fit_result_section(res1)})
 
@@ -600,7 +598,7 @@ def _fit_deer_spectrum(cfg, args, trace):
     if args.rabi_data:
         rabi_trace = _read_trace(args.rabi_data, "t_us", "p_flip",
                                  "p_flip_err")
-        omega, res2 = fit_rabi_frequency(rabi_trace, seed=seed)
+        omega, res2 = fit_rabi_frequency(rabi_trace)
         sections["stage2.rabi"] = _fit_result_section(res2)
         _write_ini(cfg, "rabi.ini", {"rabi": _fit_result_section(res2)})
     elif cfg["fit.rabi_mhz"] > 0:
@@ -621,7 +619,7 @@ def _fit_deer_spectrum(cfg, args, trace):
                             t_b_delay_us=cfg["timing.t_a_us"], amps=amps)
     window = cfg["fit.window_mhz"] or None
     est_p1, res3 = fit_concentration_spectrum(trace, peakset, fixed,
-                                              window_mhz=window, seed=seed)
+                                              window_mhz=window)
     sections["estimate.p1"] = _estimate_section(est_p1)
     conc_sections = {"estimate.p1": _estimate_section(est_p1)}
     for i, r in enumerate(res3):
@@ -634,8 +632,8 @@ def _fit_deer_spectrum(cfg, args, trace):
               for i, (r, a) in enumerate(zip(res3, amps))
               if i != n_peaks // 2]
         est_x, res_x = fit_central_line_two_species(
-            sub, est_p1.value_ppb, fixed,
-            x_offset_mhz=cfg["fit.x_offset_mhz"], background=bg, seed=seed)
+            sub, est_p1.value_ppb, fixed, field=cfg.field_config(),
+            background=bg)
         sections["estimate.x"] = _estimate_section(est_x)
         conc_sections["estimate.x"] = _estimate_section(est_x)
         conc_sections["stage3.central"] = _fit_result_section(res_x)
@@ -645,24 +643,24 @@ def _fit_deer_spectrum(cfg, args, trace):
 
 
 def _fit_rabi(cfg, args, trace):
-    _, res = fit_rabi_frequency(trace, seed=cfg["run.seed"])
+    _, res = fit_rabi_frequency(trace)
     return {"rabi": _fit_result_section(res)}
 
 
 def _fit_decay(cfg, args, trace):
     p_b = _decay_p_b(cfg, cfg.field_config())
-    est, res = fit_deer_decay(trace, p_b, seed=cfg["run.seed"])
+    est, res = fit_deer_decay(trace, p_b)
     return {"decay": _fit_result_section(res),
             "estimate.p1": _estimate_section(est)}
 
 
 def _fit_hahn(cfg, args, trace):
     return {"hahn": _fit_result_section(
-        fit_hahn_decay(trace, seed=cfg["run.seed"]))}
+        fit_hahn_decay(trace))}
 
 
 def _fit_eseem(cfg, args, trace):
-    info, res = fit_eseem(trace, cfg["field.b0_mt"], seed=cfg["run.seed"])
+    info, res = fit_eseem(trace, cfg["field.b0_mt"])
     out = _fit_result_section(res)
     out.update({k: float(v) for k, v in info.items()})
     return {"eseem": out}
@@ -670,7 +668,7 @@ def _fit_eseem(cfg, args, trace):
 
 def _fit_saturation(cfg, args, trace):
     return {"saturation": _fit_result_section(
-        fit_saturation(trace, seed=cfg["run.seed"]))}
+        fit_saturation(trace))}
 
 
 def _fit_epr(cfg, args, trace):
@@ -792,7 +790,8 @@ def _add_config_flags(parser):
                         help="experiment type (overrides the config file)")
     parser.add_argument("--out", default=".",
                         help="output directory (default: current)")
-    parser.add_argument("--seed", type=int, help="random seed")
+    parser.add_argument("--seed", type=int,
+                        help="seed of the simulated noise")
     parser.add_argument("--noise", type=float,
                         help="relative Gaussian noise level for simulate")
     parser.add_argument("--engine", choices=ENGINES,

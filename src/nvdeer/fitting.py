@@ -2,13 +2,19 @@
 
 All fits go through one trust-region least-squares wrapper (scipy
 least_squares, with the analytic Jacobian every model supplies) with
-per-point sigma weighting when the trace carries errors, covariance from
-J^T J scaled by the reduced chi-square, and a deterministic 5-start
-multi-start.  The concentration extraction follows the staged protocol:
+per-point sigma weighting when the trace carries errors and covariance
+from J^T J scaled by the reduced chi-square.  Every fit makes one start
+from a seed taken from the data (dip positions, the dominant FFT bin's
+frequency and phase, the dip depth) and raises FitError when that start
+fails; there are no random restarts.  The public fit functions still
+accept a `seed` keyword, which is unused; the benchmark workloads pass
+it.  The concentration extraction follows the staged protocol:
 Lorentzian peak positions first, Rabi frequency second, then per-peak
-echo-contrast fits with everything but (f_r, Gamma, n_b) frozen.
+echo-contrast fits with everything but (f_r, Gamma, n_b) frozen, and a
+central fit of the P1 pair and the X line, both placed by the field.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -17,11 +23,12 @@ from scipy.optimize import least_squares
 from scipy.signal import find_peaks
 
 from . import constants as c
-from .deer import (LorentzianPeak, LorentzianPeakSet,
-                   P1_FIVE_LINE_AMPLITUDES, contrast_rate_per_ppb,
+from .deer import (LorentzianPeak, LorentzianPeakSet, contrast_rate_per_ppb,
                    deer_signal_from_transfer, detection_limit_ppb,
                    line_transfer_gradient, population_transfer)
 from .errors import DataError, FitError, FitWarning, DataQualityWarning
+from .hamiltonians import p1_line_table, x_line_frequency
+from .spincore import FieldConfiguration
 
 __all__ = [
     "FitResult",
@@ -42,11 +49,11 @@ __all__ = [
     "aggregate_estimates",
 ]
 
-N_MULTISTART = 5
-# relative spread of the multistart perturbations around p0
-PERTURB = 0.05
 # share of the sweep at each end that fixes the EPR baseline
 EPR_BASELINE_FRAC = 0.1
+# the default config field (37.2 mT tilted 0.1 deg, 2 MHz drive at
+# 1042 MHz), where the central fit places its lines when given no field
+DEFAULT_FIELD = FieldConfiguration(37.2, 0.1, 2.0, 1042.0)
 
 
 @dataclass
@@ -101,14 +108,15 @@ def _weights(trace):
 
 
 def _run_fit(model, x, y, sigma, p0, names, lower=None, upper=None,
-             seed=0, x_scale=None):
-    """Weighted least squares with deterministic multi-start.
+             x_scale=None):
+    """Weighted least squares: one trust-region solve from p0.
 
     model(x, params_vector) -> (y, J) with J[i, j] = dy_i/dp_j; returns
-    FitResult with params mapped to `names` and the winning start's
-    function and Jacobian evaluation counts.  Start 0 is p0, the other
-    N_MULTISTART - 1 starts perturb it by PERTURB of each entry's scale.
-    Raises FitError when no start converges.
+    FitResult with params mapped to `names` and the solver's function and
+    Jacobian evaluation counts.  There is no second start: each fit
+    seeds p0 in the basin of the answer, so a fit that fails from there
+    has a wrong model or seed.  Raises FitError when the solve fails,
+    leaves non-finite residuals or stops without converging.
     """
     p0 = np.asarray(p0, dtype=float)
     k = len(p0)
@@ -116,6 +124,8 @@ def _run_fit(model, x, y, sigma, p0, names, lower=None, upper=None,
         raise FitError(f"need more than {k} points to fit {k} parameters")
     lo = -np.inf * np.ones(k) if lower is None else np.asarray(lower, float)
     hi = np.inf * np.ones(k) if upper is None else np.asarray(upper, float)
+    # a seed outside its bounds starts from the nearest bound
+    p0 = np.clip(p0, lo, hi)
 
     # least_squares asks for the Jacobian at the point it just evaluated,
     # so one model call serves both
@@ -135,27 +145,17 @@ def _run_fit(model, x, y, sigma, p0, names, lower=None, upper=None,
     def jacobian(p):
         return evaluate(p)["jac"]
 
-    rng = np.random.default_rng(seed)
-    scale = np.where(np.abs(p0) > 0, np.abs(p0), 1.0)
-    best = None
-    for s in range(N_MULTISTART):
-        start = p0 if s == 0 else np.clip(
-            p0 + PERTURB * scale * rng.standard_normal(k), lo, hi)
-        try:
-            res = least_squares(residual, start, jac=jacobian,
-                                bounds=(lo, hi), method="trf",
-                                x_scale=x_scale if x_scale is not None else "jac")
-        except ValueError:
-            continue
-        if not np.all(np.isfinite(res.fun)):
-            continue
-        if best is None or res.cost < best.cost - 1e-15:
-            best = res
-        if (s == 0 and res.status > 0
-                and 2.0 * res.cost / max(len(y) - k, 1) < 1e-9):
-            break  # noiseless data, nailed on the first start
-    if best is None or best.status <= 0:
-        raise FitError("fit did not converge from any start")
+    # gtol is an absolute bound on the scaled gradient: at the default
+    # 1e-8 an unweighted fit of exact data stops one step short of its
+    # zero-residual minimum; weighted fits of noisy data stop on ftol
+    try:
+        best = least_squares(residual, p0, jac=jacobian, bounds=(lo, hi),
+                             method="trf", gtol=1e-10,
+                             x_scale=x_scale if x_scale is not None else "jac")
+    except ValueError as exc:
+        raise FitError(f"fit failed at its start: {exc}") from None
+    if not np.all(np.isfinite(best.fun)) or best.status <= 0:
+        raise FitError(f"fit did not converge: {best.message}")
 
     jac = best.jac
     dof = max(len(y) - k, 1)
@@ -228,6 +228,7 @@ def fit_lorentzian_peaks(trace, n_peaks, init=None, seed=0):
     n_peaks : int
     init : optional sequence of seed center frequencies (MHz); found from
         local minima when absent.
+    seed : accepted and unused; the fit makes one start.
 
     Returns
     -------
@@ -277,7 +278,7 @@ def fit_lorentzian_peaks(trace, n_peaks, init=None, seed=0):
         hi += [x[-1], span, np.inf]
 
     result = _run_fit(model, x, y, _weights(trace), p0, names,
-                      lower=lo, upper=hi, seed=seed)
+                      lower=lo, upper=hi)
     rows = sorted(
         ((result.params[f"f_{i}"], result.params[f"gamma_{i}"],
           result.params[f"depth_{i}"]) for i in range(n_peaks)),
@@ -297,8 +298,12 @@ def fit_rabi_frequency(trace, seed=0):
     """Rabi frequency from a driven-nutation trace.
 
     Model: y = c + a exp(-t/tau) cos(2 pi f t + phi), seeded by the
-    dominant FFT bin.  Returns (omega_mhz, FitResult); the result also
-    carries t_pi = 1/(2 Omega) with its propagated error.
+    dominant FFT bin: its frequency seeds f and its phase, referred to
+    t = 0, seeds phi, which is bounded to one turn around that seed and
+    reported wrapped into (-pi, pi].  (A nutation (1 - cos)/2 has
+    phi = pi.)  Returns (omega_mhz, FitResult); the result also carries
+    t_pi = 1/(2 Omega) with its propagated error.  `seed` is accepted
+    and unused: the fit makes one start.
     """
     t, y = trace.x, trace.y
     if len(t) < 8:
@@ -308,15 +313,17 @@ def fit_rabi_frequency(trace, seed=0):
     if np.std(yc) < 1e-12:
         raise FitError("no oscillation detected (constant trace)")
     freqs = np.fft.rfftfreq(len(t), dt)
-    spec = np.abs(np.fft.rfft(yc))
+    bins = np.fft.rfft(yc)
+    spec = np.abs(bins)
     k = 1 + int(np.argmax(spec[1:]))
     f0 = freqs[k]
     if f0 <= 0 or spec[k] < 3.0 * np.median(spec[1:] + 1e-30):
         raise FitError("no oscillation detected in the spectrum")
     if t[-1] - t[0] < 1.5 / f0:
         raise ValueError("trace must span at least 1.5 oscillation periods")
+    phi0 = _wrap_phase(np.angle(bins[k]) - 2 * np.pi * f0 * t[0])
 
-    p0 = [y.mean(), (y.max() - y.min()) / 2, t[-1] - t[0], f0, 0.0]
+    p0 = [y.mean(), (y.max() - y.min()) / 2, t[-1] - t[0], f0, phi0]
     names = ["c", "a", "tau", "f", "phi"]
 
     def model(tv, p):
@@ -330,10 +337,12 @@ def fit_rabi_frequency(trace, seed=0):
                                -a * env * sin_])
         return c_ + a * env * cos_, jac
 
-    lo = [-np.inf, 0.0, dt, f0 / 3.0, -np.pi]
-    hi = [np.inf, np.inf, np.inf, min(3.0 * f0, freqs[-1] * 1.5), np.pi]
+    lo = [-np.inf, 0.0, dt, f0 / 3.0, phi0 - np.pi]
+    hi = [np.inf, np.inf, np.inf, min(3.0 * f0, freqs[-1] * 1.5),
+          phi0 + np.pi]
     result = _run_fit(model, t, y, _weights(trace), p0, names,
-                      lower=lo, upper=hi, seed=seed)
+                      lower=lo, upper=hi)
+    result.params["phi"] = _wrap_phase(result.params["phi"])
     f = result.params["f"]
     f_err = result.std_errors["f"]
     if f_err > abs(f):
@@ -342,6 +351,11 @@ def fit_rabi_frequency(trace, seed=0):
     result.std_errors["t_pi"] = f_err / (2.0 * f**2)
     result.param_names = result.param_names + ("t_pi",)
     return f, result
+
+
+def _wrap_phase(phi):
+    """phi wrapped into (-pi, pi]."""
+    return float(np.pi - (np.pi - phi) % (2 * np.pi))
 
 
 # -------------------------------------------------- concentration fits
@@ -430,6 +444,7 @@ def fit_concentration_spectrum(trace, seeds, fixed, window_mhz=None,
     exclude_central : bool
         Drop the middle peak (odd count) from the aggregate; that line
         overlaps the X defect and is fitted separately.
+    seed : accepted and unused; every fit makes one start.
 
     Returns
     -------
@@ -490,7 +505,7 @@ def fit_concentration_spectrum(trace, seeds, fixed, window_mhz=None,
             hi.append(1.5)
             xs.append(1.0)
         return _run_fit(model, sub.x, sub.y, _weights(sub), p0, names,
-                        lower=lo, upper=hi, seed=seed, x_scale=xs)
+                        lower=lo, upper=hi, x_scale=xs)
 
     first = []
     for f_c, g_c, amp in zip(centers, gammas, fixed.amps):
@@ -519,14 +534,35 @@ def fit_concentration_spectrum(trace, seeds, fixed, window_mhz=None,
     return est, results
 
 
-def fit_central_line_two_species(trace, n_p1_ppb, fixed, x_offset_mhz=-7.0,
-                                 background=None, seed=0):
-    """X concentration from the central line with the P1 part frozen.
+@functools.lru_cache(maxsize=8)
+def _central_group(field):
+    """The central P1 pair and the X line at `field`: ((offset, area)
+    of the two middle rows of p1_line_table, each offset from the pair's
+    area-weighted centre), and the X line's offset from that centre."""
+    rows = p1_line_table(field)
+    mid = rows[len(rows) // 2 - 1: len(rows) // 2 + 1]
+    centre = sum(f * a for f, a in mid) / sum(a for _, a in mid)
+    pair = tuple((f - centre, a) for f, a in mid)
+    return pair, x_line_frequency(field) - centre
 
-    Model: I = exp(-C T_B [n_P1 A_c P_c(f) + n_X P_x(f)]) with n_P1 and
-    A_c = 1/3 (the merged central entry of P1_FIVE_LINE_AMPLITUDES)
-    fixed; free parameters are the two line positions, widths and n_X.
-    The X species is a bare S = 1/2 line (amplitude 1).
+
+def fit_central_line_two_species(trace, n_p1_ppb, fixed, field=None,
+                                 background=None, seed=0):
+    """X concentration from the central window with the P1 part frozen.
+
+    Model: I = exp(-C T_B [n_P1 sum_j P(f; f_c + d_j, Gamma, A_j)
+    + n_X P(f; f_c + d_X, Gamma, 1)]).  The P1 part is the physical
+    central pair, the two middle rows of p1_line_table(field), each at
+    its offset d_j from the pair's area-weighted centre f_c with its
+    area A_j (1/12 and 1/4); n_P1 is fixed.  The X species is a bare
+    S = 1/2 line (amplitude 1) placed by the field at
+    d_X = x_line_frequency(field) - centre, with the pair's width.  The
+    free parameters are f_c, Gamma and n_X (plus a baseline `base` when
+    no background is given); f_x and gamma_x are reported as derived
+    params.  `fixed` supplies the pulse and contrast constants; its amps
+    are not used.  field=None is the default config field (37.2 mT,
+    tilted 0.1 deg).  `seed` is accepted and unused: the fit makes one
+    start.
 
     `background`, when given, is a list of (n_ppb, f_r, gamma, amp) rows
     for already-fitted neighboring lines; their contrast is multiplied in
@@ -538,21 +574,26 @@ def fit_central_line_two_species(trace, n_p1_ppb, fixed, x_offset_mhz=-7.0,
     """
     if n_p1_ppb < 0:
         raise ValueError("n_p1_ppb must be >= 0")
+    pair, x_offset = _central_group(DEFAULT_FIELD if field is None
+                                    else field)
     free_base = background is None
     bg = _background(fixed, background or [], trace.x)
     rate = fixed.rate_per_ppb()
 
     def model(fv, p):
-        f_c, g_c, f_x, g_x, n_x = p[:5]
-        base = p[5] if free_base else 1.0
-        p_c, dc_df, dc_dg = fixed.transfer_gradient(
-            f_c, g_c, P1_FIVE_LINE_AMPLITUDES[2], fv)
-        p_x, dx_df, dx_dg = fixed.transfer_gradient(f_x, g_x, 1.0, fv)
+        f_c, g_c, n_x = p[:3]
+        base = p[3] if free_base else 1.0
+        p_c = dc_df = dc_dg = 0.0
+        for offset, area in pair:
+            pj, dj_df, dj_dg = fixed.transfer_gradient(f_c + offset, g_c,
+                                                       area, fv)
+            p_c, dc_df, dc_dg = p_c + pj, dc_df + dj_df, dc_dg + dj_dg
+        p_x, dx_df, dx_dg = fixed.transfer_gradient(f_c + x_offset, g_c,
+                                                    1.0, fv)
         contrast = fixed.contrast([p_c, p_x], [n_p1_ppb, n_x])
         out = base * bg * contrast
-        cols = [-rate * n_p1_ppb * dc_df * out,
-                -rate * n_p1_ppb * dc_dg * out,
-                -rate * n_x * dx_df * out, -rate * n_x * dx_dg * out,
+        cols = [-rate * (n_p1_ppb * dc_df + n_x * dx_df) * out,
+                -rate * (n_p1_ppb * dc_dg + n_x * dx_dg) * out,
                 -rate * p_x * out]
         if free_base:
             cols.append(bg * contrast)
@@ -560,11 +601,11 @@ def fit_central_line_two_species(trace, n_p1_ppb, fixed, x_offset_mhz=-7.0,
 
     f_c0 = trace.x[np.argmin(trace.y)]
     n_x0 = max(0.05 * n_p1_ppb, 1.0)
-    p0 = [f_c0, 1.0, f_c0 + x_offset_mhz, 1.0, n_x0]
-    names = ["f_central", "gamma_central", "f_x", "gamma_x", "n_x_ppb"]
-    lo = [trace.x[0], 0.01, trace.x[0], 0.01, 0.0]
-    hi = [trace.x[-1], 50.0, trace.x[-1], 50.0, 1e6]
-    xs = [1.0, 1.0, 1.0, 1.0, max(n_x0, 1.0)]
+    p0 = [f_c0, 1.0, n_x0]
+    names = ["f_central", "gamma_central", "n_x_ppb"]
+    lo = [trace.x[0], 0.01, 0.0]
+    hi = [trace.x[-1], 50.0, 1e6]
+    xs = [1.0, 1.0, max(n_x0, 1.0)]
     if free_base:
         p0.append(float(np.percentile(trace.y, 90)))
         names.append("base")
@@ -572,7 +613,12 @@ def fit_central_line_two_species(trace, n_p1_ppb, fixed, x_offset_mhz=-7.0,
         hi.append(1.5)
         xs.append(1.0)
     res = _run_fit(model, trace.x, trace.y, _weights(trace), p0, names,
-                   lower=lo, upper=hi, seed=seed, x_scale=xs)
+                   lower=lo, upper=hi, x_scale=xs)
+    res.params["f_x"] = res.params["f_central"] + x_offset
+    res.std_errors["f_x"] = res.std_errors["f_central"]
+    res.params["gamma_x"] = res.params["gamma_central"]
+    res.std_errors["gamma_x"] = res.std_errors["gamma_central"]
+    res.param_names = res.param_names + ("f_x", "gamma_x")
     n_x = res.params["n_x_ppb"]
     err = res.std_errors["n_x_ppb"]
     upper = n_x < err
@@ -587,7 +633,8 @@ def fit_deer_decay(trace, p_b, sigma_b=0.5, g_a=c.G_ELECTRON,
     """Concentration from an echo-contrast decay versus delay time.
 
     Model: I(T_B) = exp(-C n P_B T_B) with P_B fixed (the pump flip
-    probability at the chosen line).  Needs >= 8 delay points.
+    probability at the chosen line).  Needs >= 8 delay points.  `seed`
+    is accepted and unused: the fit makes one start.
     """
     if not 0 <= p_b <= 1:
         raise ValueError("p_b must be in [0, 1]")
@@ -618,7 +665,7 @@ def fit_deer_decay(trace, p_b, sigma_b=0.5, g_a=c.G_ELECTRON,
                                          1.0 - 1e-12),
                                  1.0, sigma_b, p_b, g_a, g_b), 1.0)
     res = _run_fit(model, trace.x, trace.y, _weights(trace), [n0],
-                   ["n_ppb"], lower=[0.0], upper=[1e6], seed=seed,
+                   ["n_ppb"], lower=[0.0], upper=[1e6],
                    x_scale=[max(n0, 1.0)])
     est = ConcentrationEstimate(
         species="P1", value_ppb=res.params["n_ppb"],
@@ -642,7 +689,8 @@ def _stretched_exp(tv, a, t2, n):
 def fit_hahn_decay(trace, seed=0):
     """Stretched-exponential echo decay a exp(-(t/T2)^n).
 
-    Returns FitResult with params a, t2_us, n.
+    Returns FitResult with params a, t2_us, n.  `seed` is accepted and
+    unused: the fit makes one start.
     """
     t, y = trace.x, trace.y
     if len(t) < 6:
@@ -656,7 +704,7 @@ def fit_hahn_decay(trace, seed=0):
     res = _run_fit(lambda tv, p: _stretched_exp(tv, *p), t, y,
                    _weights(trace), [a0, t2_0, 1.5], ["a", "t2_us", "n"],
                    lower=[0.0, np.min(np.diff(t)), 0.2],
-                   upper=[np.inf, np.inf, 6.0], seed=seed)
+                   upper=[np.inf, np.inf, 6.0])
     return res
 
 
@@ -666,7 +714,8 @@ def fit_eseem(trace, b0_mt, seed=0):
     Model: y = a exp(-(t/T2)^n) (1 - k sin^2(pi f t + phi)).  The
     modulation frequency seed comes from the FFT of the envelope-divided
     signal.  Returns (info dict with f_mhz and gamma_n_mhz_per_t,
-    FitResult); gamma_n = 2 f / B0.
+    FitResult); gamma_n = 2 f / B0.  `seed` is accepted and unused:
+    each fit makes one start.
     """
     if b0_mt <= 0:
         raise ValueError("b0_mt must be > 0")
@@ -674,7 +723,7 @@ def fit_eseem(trace, b0_mt, seed=0):
     if len(t) < 16:
         raise ValueError("need at least 16 points")
     # crude envelope: stretched-exp fit without modulation
-    env = fit_hahn_decay(trace, seed=seed)
+    env = fit_hahn_decay(trace)
     a0, t2_0, n0 = (env.params["a"], env.params["t2_us"], env.params["n"])
     resid = y / np.clip(a0 * np.exp(-np.power(t / t2_0, n0)), 1e-12, None)
     dt = np.median(np.diff(t))
@@ -703,8 +752,7 @@ def fit_eseem(trace, b0_mt, seed=0):
                    [a0, t2_0, n0, 0.5 * (1 - resid.min()), 2 * f0, 0.0],
                    ["a", "t2_us", "n", "k", "f_mhz", "phi"],
                    lower=[0.0, dt, 0.2, 0.0, f0 / 2, -np.pi],
-                   upper=[np.inf, np.inf, 6.0, 1.0, 4 * f0, np.pi],
-                   seed=seed)
+                   upper=[np.inf, np.inf, 6.0, 1.0, 4 * f0, np.pi])
     f = res.params["f_mhz"]
     gamma_n = 2.0 * f / b0_mt * 1e3      # MHz/mT -> MHz/T
     gamma_err = 2.0 * res.std_errors["f_mhz"] / b0_mt * 1e3
@@ -720,7 +768,8 @@ def fit_saturation(trace, background=None, seed=0):
 
     background, when given, is a trace on the same power grid subtracted
     point-wise first (linear APD background).  Warns when the data stops
-    below half the fitted saturation power.
+    below half the fitted saturation power.  `seed` is accepted and
+    unused: the fit makes one start.
     """
     x, y = trace.x, trace.y.copy()
     if background is not None:
@@ -739,7 +788,7 @@ def fit_saturation(trace, background=None, seed=0):
     res = _run_fit(model, x, y, _weights(trace),
                    [2.0 * float(np.max(y)), p_sat0],
                    ["f_sat", "p_sat"],
-                   lower=[0.0, 1e-9], upper=[np.inf, np.inf], seed=seed)
+                   lower=[0.0, 1e-9], upper=[np.inf, np.inf])
     if np.max(x) < 0.5 * res.params["p_sat"]:
         warnings.warn("data stops below 0.5 P_sat; saturation level is "
                       "poorly constrained", FitWarning)

@@ -9,7 +9,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from nvdeer import FieldConfiguration  # noqa: E402
+from nvdeer import FieldConfiguration, fitting  # noqa: E402
 
 
 @pytest.fixture
@@ -21,3 +21,17 @@ def field():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def starts(monkeypatch):
+    """One entry per least-squares solve made through nvdeer.fitting."""
+    calls = []
+    solve = fitting.least_squares
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(fitting, "least_squares", counted)
+    return calls

@@ -31,7 +31,7 @@ BUDGET_S = {
     "eseem": 1.0,
     "spectrum-agreement": 30.0,
     "rabi-oracle": 5.0,
-    "round-trip": 30.0,
+    "round-trip": 5.0,
     "properties": 120.0,
 }
 

@@ -5,6 +5,7 @@ import pytest
 
 from nvdeer.cli import load_config, main
 from nvdeer.datasets import DataSet, read_summary
+from nvdeer.errors import ConfigError
 
 
 def run(*argv):
@@ -141,6 +142,16 @@ def test_bad_config_file_exit_2(tmp_path):
     assert not (tmp_path / "hahn.csv").exists()
 
 
+def test_config_rejects_x_offset_mhz(tmp_path):
+    # the X line sits where the field puts it; there is no offset key
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"fit": {"x_offset_mhz": -7.0}}))
+    with pytest.raises(ConfigError):
+        load_config("deer-spectrum", str(path))
+    assert run("fit", "-e", "deer-spectrum", "--config", str(path),
+               "--out", str(tmp_path / "fit")) == 2
+
+
 @pytest.mark.parametrize("value,expected", [
     (True, True), (False, False), (0, False), (1, True), ("true", True),
     ("false", False), ("1", True), ("0", False), ("yes", True),
@@ -271,6 +282,51 @@ def test_spectrum_fit_missing_rabi_stage(tmp_path, capsys):
              str(sim / "spectrum.csv"), "--out", str(tmp_path / "fit"))
     assert rc == 3
     assert "stage 2" in capsys.readouterr().err
+
+
+def _spectrum_fit(tmp_path, n_x_ppb, *noise):
+    """simulate then fit a 230 ppb P1 spectrum; the concentrations.ini
+    estimates of P1 and X."""
+    sim, fit = tmp_path / "sim", tmp_path / "fit"
+    assert run("simulate", "-e", "deer-spectrum", *noise,
+               "--set", "ensemble.n_p1_ppb=230",
+               "--set", f"ensemble.n_x_ppb={n_x_ppb}", "--out", str(sim)) == 0
+    assert run("fit", "-e", "deer-spectrum", "--data",
+               str(sim / "spectrum.csv"), "--set", "fit.rabi_mhz=2.0",
+               "--out", str(fit)) == 0
+    conc = read_summary(fit / "concentrations.ini")
+    return conc["estimate.p1"], conc["estimate.x"]
+
+
+def test_spectrum_fit_noiseless_places_x(tmp_path):
+    # the central pair and the X line placed by the field: no phantom X
+    # on X-free data, and X recovered where it is
+    p1, x = _spectrum_fit(tmp_path / "null", 0)
+    assert float(x["value_ppb"]) <= 0.3
+    assert x["is_upper_bound"] == "True"
+    p1, x = _spectrum_fit(tmp_path / "x15", 15)
+    assert abs(float(x["value_ppb"]) - 15.0) <= 0.5
+    assert abs(float(p1["value_ppb"]) - 230.0) <= 1.0
+
+
+def test_spectrum_fit_seed_23_no_phantom_x(tmp_path):
+    # on this noise draw a line fit started away from its dip lands on
+    # its window edge, biasing P1 low and making X out of noise
+    p1, x = _spectrum_fit(tmp_path, 0, "--noise", "0.01", "--seed", "23")
+    assert float(p1["value_ppb"]) == pytest.approx(230.0, rel=0.05)
+    assert float(x["value_ppb"]) / float(x["uncertainty_ppb"]) < 1.645
+
+
+def test_rabi_noisy_nutation_one_start(tmp_path, starts):
+    # the FFT phase seeds the nutation's phi = pi, so one start converges
+    assert run("simulate", "-e", "deer-rabi", "--noise", "0.01",
+               "--seed", "21", "--out", str(tmp_path)) == 0
+    assert run("fit", "-e", "deer-rabi", "--data", str(tmp_path / "rabi.csv"),
+               "--out", str(tmp_path / "fit")) == 0
+    assert len(starts) == 1
+    rabi = read_summary(tmp_path / "fit" / "rabi.ini")["rabi"]
+    assert rabi["converged"] == "True"
+    assert abs(float(rabi["f"]) - 2.0) < 3.0 * float(rabi["f_err"])
 
 
 def test_spectrum_simulate_zero_concentration_is_flat(tmp_path):

@@ -118,6 +118,21 @@ def test_rabi_noiseless_dynamics_fit_does_not_warn(field):
     assert omega == pytest.approx(field.rabi_mhz, rel=1e-3)
 
 
+def test_rabi_phase_pi_one_start(rng, starts):
+    # a nutation (1 - cos)/2 has phi = pi; the FFT phase seeds it, so one
+    # start converges and phi is reported wrapped into (-pi, pi]
+    t = np.linspace(0.02, 3.0, 121)
+    y = 0.5 - 0.5 * np.cos(2 * np.pi * 2.0 * t)
+    err = np.full(len(t), 0.01)
+    omega, res = fit_rabi_frequency(
+        SpectrumTrace(t, y + 0.01 * rng.standard_normal(len(t)), y_err=err))
+    assert len(starts) == 1
+    assert res.converged
+    assert abs(omega - 2.0) < 3.0 * res.std_errors["f"]
+    assert -np.pi < res.params["phi"] <= np.pi
+    assert abs(abs(res.params["phi"]) - np.pi) < 0.05
+
+
 def test_rabi_constant_trace_fails():
     t = np.linspace(0.0, 2.0, 60)
     with pytest.raises(FitError):
@@ -212,16 +227,22 @@ def test_concentration_amp_count_mismatch():
 
 # -------------------------------------------------- central two-species
 
-CENTRAL_F = 1050.7
-X_F = 1042.5
+DEFAULT_FIELD = FieldConfiguration(37.2, 0.1, OMEGA, 1042.0)
+X_F = x_line_frequency(DEFAULT_FIELD)
+
+
+def central_rows(n_p1, n_x, gamma=1.2, field=DEFAULT_FIELD):
+    """The physical central P1 pair (the two middle rows of the line
+    table) and the X line, placed by the field."""
+    rows = [(n_p1, f, gamma, a) for f, a in p1_line_table(field)[2:4]]
+    if n_x > 0:
+        rows.append((n_x, x_line_frequency(field), gamma, 1.0))
+    return rows
 
 
 def central_trace(n_p1, n_x, gamma=1.2):
-    f = np.arange(1025.0, 1070.0, 0.25)
-    rows = [(n_p1, CENTRAL_F, gamma, 1.0 / 3.0)]
-    if n_x > 0:
-        rows.append((n_x, X_F, gamma, 1.0))
-    return contrast_trace(f, rows)
+    return contrast_trace(np.arange(1025.0, 1070.0, 0.25),
+                          central_rows(n_p1, n_x, gamma))
 
 
 def test_central_two_species_recovery():
@@ -230,6 +251,7 @@ def test_central_two_species_recovery():
     assert est.species == "X"
     assert est.value_ppb == pytest.approx(13.0, rel=0.05)
     assert abs(res.params["f_x"] - X_F) < 0.3
+    assert res.params["gamma_x"] == res.params["gamma_central"]
     assert not est.is_upper_bound
 
 
@@ -243,20 +265,34 @@ def test_central_machine_minimum_with_exact_background():
     """With the true neighbor row supplied, the fit hits its exact minimum."""
     f = np.arange(1025.0, 1070.0, 0.25)
     neighbor = (200.0, 1132.7, 1.2, 0.25)
-    rows = [(200.0, CENTRAL_F, 1.2, 1.0 / 3.0), (13.0, X_F, 1.2, 1.0),
-            neighbor]
-    trace = contrast_trace(f, rows)
+    trace = contrast_trace(f, central_rows(200.0, 13.0) + [neighbor])
     est, res = fit_central_line_two_species(trace, 200.0, make_fixed([0.25]),
                                             background=[neighbor])
     assert res.residual_norm < 1e-10 * np.linalg.norm(trace.y)
     assert est.value_ppb == pytest.approx(13.0, rel=1e-6)
 
 
-def test_central_p1_bias_pushes_x_down():
-    trace = central_trace(200.0, 13.0)
-    est_lo, _ = fit_central_line_two_species(trace, 200.0, make_fixed([0.25]))
-    est_hi, _ = fit_central_line_two_species(trace, 220.0, make_fixed([0.25]))
-    assert est_hi.value_ppb < est_lo.value_ppb
+def test_central_p1_error_makes_no_x():
+    # X-free data with n_P1 set 10% low or high: the shared width and
+    # the tied X position leave no freedom to turn the mismatch into X
+    trace = central_trace(200.0, 0.0)
+    for n_p1_fit in (180.0, 220.0):
+        est, _ = fit_central_line_two_species(trace, n_p1_fit,
+                                              make_fixed([0.25]))
+        assert est.value_ppb < 1.0, n_p1_fit
+
+
+def test_central_field_moves_the_lines():
+    # data made at another field are fitted with that field's pair and
+    # X position
+    field = DEFAULT_FIELD.replace(b0_mag_mt=36.0)
+    trace = contrast_trace(np.arange(990.0, 1040.0, 0.25),
+                           central_rows(200.0, 13.0, field=field))
+    est, res = fit_central_line_two_species(trace, 200.0, make_fixed([0.25]),
+                                            field=field)
+    assert est.value_ppb == pytest.approx(13.0, rel=1e-4)
+    assert res.params["f_x"] == pytest.approx(x_line_frequency(field),
+                                              abs=1e-4)
 
 
 # ------------------------------------------------------------ DEER decay
