@@ -633,7 +633,7 @@ def _fit_deer_spectrum(cfg, args, trace):
               if i != n_peaks // 2]
         est_x, res_x = fit_central_line_two_species(
             sub, est_p1.value_ppb, fixed, field=cfg.field_config(),
-            background=bg)
+            background=bg, n_p1_err_ppb=est_p1.uncertainty_ppb)
         sections["estimate.x"] = _estimate_section(est_x)
         conc_sections["estimate.x"] = _estimate_section(est_x)
         conc_sections["stage3.central"] = _fit_result_section(res_x)

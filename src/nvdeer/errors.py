@@ -15,7 +15,7 @@ class NumericError(RuntimeError):
 
 
 class IntegrationError(NumericError):
-    """Time propagation or quadrature failed to reach its tolerance."""
+    """Time propagation failed to reach its tolerance."""
 
 
 class FitError(RuntimeError):

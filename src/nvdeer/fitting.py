@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import least_squares
-from scipy.signal import find_peaks
 
 from . import constants as c
 from .deer import (LorentzianPeak, LorentzianPeakSet, contrast_rate_per_ppb,
@@ -206,12 +205,39 @@ def _find_dips(x, y, n_peaks):
     sigma = 1.4826 * np.median(np.abs(np.diff(y))) / np.sqrt(2) + 1e-15
     prom = 3.0 * sigma / np.sqrt(w)
     dist = max(int(len(y) / (8.0 * n_peaks)), 1)
-    idx, props = find_peaks(-ys, prominence=prom, distance=dist)
+    idx, prominences = _prominent_minima(ys, prom, dist)
     if len(idx) < n_peaks:
         raise FitError(f"found only {len(idx)} candidate dips, "
                        f"need {n_peaks}; trace may be flat or too noisy")
-    top = idx[np.argsort(props["prominences"])[::-1][:n_peaks]]
+    top = idx[np.argsort(prominences)[::-1][:n_peaks]]
     return np.sort(x[top])
+
+
+def _prominent_minima(y, prominence, distance):
+    """Indices and prominences of the minima of y that
+    scipy.signal.find_peaks(-y, prominence=, distance=) returns: the
+    middles of flat runs below both neighbours, thinned deepest first to
+    `distance` samples apart, then kept where the lower of the highest
+    points out to the nearest lower sample on either side stands at
+    least `prominence` above them."""
+    step = np.sign(np.diff(y))
+    turns = np.flatnonzero(step)
+    down_up = (step[turns[:-1]] < 0) & (step[turns[1:]] > 0)
+    idx = (turns[:-1][down_up] + 1 + turns[1:][down_up]) // 2
+    keep = np.ones(len(idx), dtype=bool)
+    for j in np.argsort(-y[idx])[::-1]:
+        if keep[j]:
+            keep[np.abs(idx - idx[j]) < distance] = False
+            keep[j] = True
+    idx = idx[keep]
+    prominences = np.empty(len(idx))
+    for n, i in enumerate(idx):
+        lower = np.flatnonzero(y < y[i])
+        lo = lower[lower < i].max(initial=-1) + 1
+        hi = lower[lower > i].min(initial=len(y))
+        prominences[n] = min(y[lo:i + 1].max(), y[i:hi].max()) - y[i]
+    deep = prominences >= prominence
+    return idx[deep], prominences[deep]
 
 
 def fit_lorentzian_peaks(trace, n_peaks, init=None, seed=0):
@@ -381,16 +407,18 @@ class DeerFixedParams:
         object.__setattr__(self, "amps", amps)
 
     def transfer(self, f_r, gamma, amp, f):
-        """Gauss-rule pump flip probability of one Lorentzian line."""
+        """Pump flip probability of one Lorentzian line
+        (population_transfer)."""
         return population_transfer([LorentzianPeak(f_r, gamma, amp)],
-                                   self.omega_mhz, f, self.t_b_us,
-                                   method="gauss")
+                                   self.omega_mhz, f, self.t_b_us)
 
     def transfer_gradient(self, f_r, gamma, amp, f):
         """transfer() with its derivatives in f_r and gamma
-        (line_transfer_gradient)."""
-        return line_transfer_gradient(LorentzianPeak(f_r, gamma, amp),
-                                      self.omega_mhz, f, self.t_b_us)
+        (line_transfer_gradient); f_r and amp may be sequences of lines
+        that share gamma and shift together."""
+        peaks = [LorentzianPeak(fj, gamma, aj)
+                 for fj, aj in zip(np.atleast_1d(f_r), np.atleast_1d(amp))]
+        return line_transfer_gradient(peaks, self.omega_mhz, f, self.t_b_us)
 
     def contrast(self, p_b, n_ppb):
         """Echo contrast of one species, or of sequences of several
@@ -547,7 +575,7 @@ def _central_group(field):
 
 
 def fit_central_line_two_species(trace, n_p1_ppb, fixed, field=None,
-                                 background=None, seed=0):
+                                 background=None, seed=0, n_p1_err_ppb=0.0):
     """X concentration from the central window with the P1 part frozen.
 
     Model: I = exp(-C T_B [n_P1 sum_j P(f; f_c + d_j, Gamma, A_j)
@@ -569,8 +597,12 @@ def fit_central_line_two_species(trace, n_p1_ppb, fixed, field=None,
     as a fixed factor and the free baseline is pinned at 1, which keeps
     the shallow X dip from trading against the baseline.
 
-    Returns a ConcentrationEstimate for X; when the fitted amplitude is
-    within its own uncertainty the estimate is flagged as an upper bound.
+    The fit is conditioned on n_P1, so its covariance adds the shifts
+    that an n_P1 error of n_p1_err_ppb makes in the linearized fit.
+
+    Returns a ConcentrationEstimate for X, flagged as an upper bound when
+    n_X is below 1.645 times its uncertainty (no detection at one-sided
+    95%).
     """
     if n_p1_ppb < 0:
         raise ValueError("n_p1_ppb must be >= 0")
@@ -580,14 +612,14 @@ def fit_central_line_two_species(trace, n_p1_ppb, fixed, field=None,
     bg = _background(fixed, background or [], trace.x)
     rate = fixed.rate_per_ppb()
 
+    def pair_transfer(f_c, g_c, fv):
+        return fixed.transfer_gradient([f_c + d for d, _ in pair], g_c,
+                                       [a for _, a in pair], fv)
+
     def model(fv, p):
         f_c, g_c, n_x = p[:3]
         base = p[3] if free_base else 1.0
-        p_c = dc_df = dc_dg = 0.0
-        for offset, area in pair:
-            pj, dj_df, dj_dg = fixed.transfer_gradient(f_c + offset, g_c,
-                                                       area, fv)
-            p_c, dc_df, dc_dg = p_c + pj, dc_df + dj_df, dc_dg + dj_dg
+        p_c, dc_df, dc_dg = pair_transfer(f_c, g_c, fv)
         p_x, dx_df, dx_dg = fixed.transfer_gradient(f_c + x_offset, g_c,
                                                     1.0, fv)
         contrast = fixed.contrast([p_c, p_x], [n_p1_ppb, n_x])
@@ -614,6 +646,17 @@ def fit_central_line_two_species(trace, n_p1_ppb, fixed, field=None,
         xs.append(1.0)
     res = _run_fit(model, trace.x, trace.y, _weights(trace), p0, names,
                    lower=lo, upper=hi, x_scale=xs)
+    if n_p1_err_ppb > 0:
+        p = np.array([res.params[n] for n in names])
+        out, jac = model(trace.x, p)
+        # d out / d n_P1 = -rate P_pair out, against the fit's Jacobian
+        w = _weights(trace)
+        dp_dn = np.linalg.lstsq(jac / w[:, None], rate * pair_transfer(
+            p[0], p[1], trace.x)[0] * out / w, rcond=None)[0]
+        res.covariance = res.covariance + np.outer(dp_dn, dp_dn) * (
+            n_p1_err_ppb**2)
+        res.std_errors = {n: float(e) for n, e in
+                          zip(names, np.sqrt(np.diag(res.covariance)))}
     res.params["f_x"] = res.params["f_central"] + x_offset
     res.std_errors["f_x"] = res.std_errors["f_central"]
     res.params["gamma_x"] = res.params["gamma_central"]
@@ -621,7 +664,7 @@ def fit_central_line_two_species(trace, n_p1_ppb, fixed, field=None,
     res.param_names = res.param_names + ("f_x", "gamma_x")
     n_x = res.params["n_x_ppb"]
     err = res.std_errors["n_x_ppb"]
-    upper = n_x < err
+    upper = n_x < 1.645 * err
     est = ConcentrationEstimate(
         species="X", value_ppb=n_x, uncertainty_ppb=err, method="spectrum",
         is_upper_bound=bool(upper))

@@ -1,11 +1,20 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from nvdeer import fitting
 from nvdeer.cli import load_config, main
 from nvdeer.datasets import DataSet, read_summary
-from nvdeer.errors import ConfigError
+from nvdeer.errors import ConfigError, FitError
+
+TESTS = pathlib.Path(__file__).resolve().parent
+GOLDEN = TESTS / "golden"
+SRC = TESTS.parent / "src"
 
 
 def run(*argv):
@@ -315,6 +324,48 @@ def test_spectrum_fit_seed_23_no_phantom_x(tmp_path):
     p1, x = _spectrum_fit(tmp_path, 0, "--noise", "0.01", "--seed", "23")
     assert float(p1["value_ppb"]) == pytest.approx(230.0, rel=0.05)
     assert float(x["value_ppb"]) / float(x["uncertainty_ppb"]) < 1.645
+
+
+def test_dip_search_matches_find_peaks(tmp_path, monkeypatch):
+    # stage one's numpy dip search picks the dips find_peaks picked, on
+    # the golden spectra and on 20 noisy simulated ones
+    from scipy.signal import find_peaks
+
+    searched = []
+    search = fitting._prominent_minima
+
+    def checked(y, prominence, distance):
+        idx, prom = search(y, prominence, distance)
+        ref, props = find_peaks(-y, prominence=prominence, distance=distance)
+        np.testing.assert_array_equal(idx, ref)
+        np.testing.assert_array_equal(prom, props["prominences"])
+        searched.append(len(idx))
+        return idx, prom
+
+    monkeypatch.setattr(fitting, "_prominent_minima", checked)
+    paths = sorted(GOLDEN.glob("deer-spectrum*/spectrum.csv"))
+    for seed in range(20):
+        out = tmp_path / str(seed)
+        assert run("simulate", "-e", "deer-spectrum", "--noise", "0.01",
+                   "--seed", str(seed), "--out", str(out)) == 0
+        paths.append(out / "spectrum.csv")
+    for path in paths:
+        trace = DataSet.read_csv(path).to_trace("f_b_mhz", "i_deer")
+        try:
+            fitting._find_dips(trace.x, trace.y, 5)
+        except FitError:
+            pass
+    assert len(searched) == len(paths) == 24
+    assert min(searched) >= 5
+
+
+def test_import_leaves_out_scipy_signal():
+    code = ("import sys, nvdeer.cli; "
+            "print('scipy.signal' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, check=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.stdout.strip() == "False"
 
 
 def test_rabi_noisy_nutation_one_start(tmp_path, starts):

@@ -7,6 +7,7 @@ from nvdeer import (LorentzianPeak, LorentzianPeakSet,
                     population_transfer, rabi_probability)
 from nvdeer import constants as c
 from nvdeer import deer
+from quad_reference import transfer_reference
 
 
 def test_five_line_amplitudes():
@@ -65,35 +66,84 @@ def test_population_transfer_delta_limit():
     assert np.allclose(p, expected, atol=1e-12)
 
 
-def test_population_transfer_quadrature_paths_agree():
-    omega, t_b = 2.0, 0.25
-    f = np.linspace(1020.0, 1064.0, 89)
-    peaks = [LorentzianPeak(1042.0, 1.2, 0.7),
-             LorentzianPeak(1035.0, 2.5, 0.3)]
-    p_ref = population_transfer(peaks, omega, f, t_b, method="adaptive")
-    p_fast = population_transfer(peaks, omega, f, t_b, method="gauss")
-    assert np.max(np.abs(p_ref - p_fast)) < 5e-4
+# offsets 0-240 MHz from the line, dense where the kernel has structure
+OFFSETS = np.concatenate([np.linspace(0.0, 10.0, 21),
+                          np.linspace(12.0, 240.0, 20)])
 
 
-def test_gauss_rule_built_once(monkeypatch):
+def test_population_transfer_matches_quadrature():
+    # the Fourier operator against a theta-split quad of the convolution,
+    # for two pulses; the largest gap (~5e-6 at gamma = 3 MHz, 240 MHz
+    # out) is the kernel's image one period away
+    f = 1042.0 + OFFSETS
+    wide = LorentzianPeak(1035.0, 2.5, 0.3)
+    for omega, t_b in ((2.0, 0.25), (1.0, 0.5)):
+        ref_wide = transfer_reference([wide], omega, f, t_b)
+        for gamma in (0.1, 0.3, 1.2, 3.0):
+            peak = LorentzianPeak(1042.0, gamma, 1.0)
+            ref = transfer_reference([peak], omega, f, t_b)
+            p = population_transfer([peak], omega, f, t_b)
+            assert np.max(np.abs(p - ref)) < 2e-5, (omega, gamma)
+            p_two = population_transfer(
+                [LorentzianPeak(1042.0, gamma, 0.7), wide], omega, f, t_b)
+            assert np.max(np.abs(p_two - 0.7 * ref - ref_wide)) < 2e-5
+
+
+def test_kernel_modes_built_once(monkeypatch):
     calls = []
-    leggauss = np.polynomial.legendre.leggauss
+    rfft = np.fft.rfft
 
-    def counting(n):
-        calls.append(n)
-        return leggauss(n)
+    def counting(a):
+        calls.append(len(a))
+        return rfft(a)
 
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
-    deer._gauss_rule.cache_clear()
+    monkeypatch.setattr(np.fft, "rfft", counting)
+    deer._kernel_modes.cache_clear()
     f = np.linspace(1020.0, 1064.0, 89)
     peak = LorentzianPeak(1042.0, 1.2, 0.7)
-    first = population_transfer([peak], 2.0, f, 0.25, method="gauss")
+    first = population_transfer([peak], 2.0, f, 0.25)
     for _ in range(3):
-        again = population_transfer([peak], 2.0, f, 0.25, method="gauss")
+        again = population_transfer([peak], 2.0, f, 0.25)
         np.testing.assert_array_equal(again, first)
-    np.testing.assert_array_equal(
-        deer.line_transfer_gradient(peak, 2.0, f, 0.25)[0], first)
-    assert calls == [deer.N_GAUSS_NODES]
+    np.testing.assert_allclose(
+        deer.line_transfer_gradient(peak, 2.0, f, 0.25)[0], first,
+        rtol=0, atol=1e-15)
+    assert len(calls) == 1
+    population_transfer([peak], 1.0, f, 0.5)
+    deer.line_transfer_gradient(peak, 1.0, f, 0.5)
+    assert len(calls) == 2
+    assert not deer._kernel_modes(2.0, 0.25).flags.writeable
+
+
+@pytest.mark.parametrize("gamma", [0.1, 1.2, 3.0])
+def test_line_transfer_gradient_matches_differences(gamma):
+    # slopes of a two-line group in its common shift and its width
+    # against central differences of population_transfer
+    f = np.linspace(1000.0, 1100.0, 201)
+    centres, amps = (1048.9, 1051.4), (1.0 / 12, 1.0 / 4)
+
+    def transfer(shift, width):
+        return population_transfer(
+            [LorentzianPeak(fc + shift, width, a)
+             for fc, a in zip(centres, amps)], 2.0, f, 0.25)
+
+    p, d_s, d_gamma = deer.line_transfer_gradient(
+        [LorentzianPeak(fc, gamma, a) for fc, a in zip(centres, amps)],
+        2.0, f, 0.25)
+    # the step balances the differences' truncation error against the
+    # ~1e-14 rounding of P
+    h = 1e-4
+    np.testing.assert_allclose(p, transfer(0.0, gamma), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(
+        d_s, (transfer(h, gamma) - transfer(-h, gamma)) / (2 * h),
+        rtol=0, atol=5e-10)
+    np.testing.assert_allclose(
+        d_gamma, (transfer(0.0, gamma + h) - transfer(0.0, gamma - h))
+        / (2 * h), rtol=0, atol=5e-10)
+    with pytest.raises(ValueError):
+        deer.line_transfer_gradient([LorentzianPeak(1048.9, gamma, 0.5),
+                                     LorentzianPeak(1051.4, 2 * gamma, 0.5)],
+                                    2.0, f, 0.25)
 
 
 def test_population_transfer_bounded():

@@ -14,6 +14,7 @@ from nvdeer import (DeerFixedParams, FieldConfiguration, LorentzianPeak,
 from nvdeer import constants as c
 from nvdeer import fitting
 from nvdeer.errors import DataError, DataQualityWarning, FitError, FitWarning
+from quad_reference import transfer_reference
 
 OMEGA = 2.0
 T_B = 0.25
@@ -25,14 +26,14 @@ def make_fixed(amps):
                            t_b_delay_us=T_B_DELAY, amps=tuple(amps))
 
 
-def contrast_trace(f_grid, rows, method="gauss"):
-    """exp(-C T_B sum_i n_i P_i(f)) for rows of (n_ppb, f_r, gamma, amp)."""
+def contrast_trace(f_grid, rows, transfer=population_transfer):
+    """exp(-C T_B sum_i n_i P_i(f)) for rows of (n_ppb, f_r, gamma, amp),
+    with P from `transfer` (population_transfer or the quad reference)."""
     rate_tb = c.dipolar_rate_constant(c.G_ELECTRON, c.G_ELECTRON,
                                       0.5) * T_B_DELAY * c.US_TO_S
     expo = np.zeros_like(f_grid)
     for n_ppb, f_r, g_r, amp in rows:
-        p = population_transfer([LorentzianPeak(f_r, g_r, amp)], OMEGA,
-                                f_grid, T_B, method=method)
+        p = transfer([LorentzianPeak(f_r, g_r, amp)], OMEGA, f_grid, T_B)
         expo = expo + rate_tb * c.ppb_to_per_m3(n_ppb) * p
     return SpectrumTrace(f_grid, np.exp(-expo), x_label="f_B (MHz)",
                          y_label="I")
@@ -152,11 +153,12 @@ THREE_CENTERS = (961.0, 1049.0, 1133.0)
 THREE_AMPS = (0.25, 1.0 / 3.0, 0.25)
 
 
-def three_line_trace(n_ppb, gamma=1.2, shift=0.0, method="gauss"):
+def three_line_trace(n_ppb, gamma=1.2, shift=0.0,
+                     transfer=population_transfer):
     f = np.arange(940.0, 1160.0, 0.25) + shift
     rows = [(n_ppb, f_c + shift, gamma, a)
             for f_c, a in zip(THREE_CENTERS, THREE_AMPS)]
-    return contrast_trace(f, rows)
+    return contrast_trace(f, rows, transfer)
 
 
 @pytest.fixture(scope="module")
@@ -202,12 +204,13 @@ def test_concentration_shift_invariance(baseline_fit):
 
 
 def test_concentration_adaptive_generated():
-    # generated with the adaptive reference quadrature, fitted with the
-    # fixed-node kernel: recovery limited only by the quadrature mismatch
-    trace = three_line_trace(150.0, method="adaptive")
+    # generated with the adaptive theta-split quad reference, fitted with
+    # the Fourier operator: the operator's error moves the estimate by
+    # ~4e-5 (the staged windows alone by 6e-7)
+    trace = three_line_trace(150.0, transfer=transfer_reference)
     est, _ = fit_concentration_spectrum(
         trace, THREE_CENTERS, make_fixed(THREE_AMPS))
-    assert est.value_ppb == pytest.approx(150.0, rel=5e-3)
+    assert est.value_ppb == pytest.approx(150.0, rel=2e-4)
 
 
 def test_concentration_zero_is_zero():
@@ -280,6 +283,25 @@ def test_central_p1_error_makes_no_x():
         est, _ = fit_central_line_two_species(trace, n_p1_fit,
                                               make_fixed([0.25]))
         assert est.value_ppb < 1.0, n_p1_fit
+
+
+def test_central_p1_uncertainty_enters_x_error():
+    # noiseless X-free data fitted with n_P1 0.05% low: the fit error of
+    # X is the residual of that bias alone, so only the propagated n_P1
+    # error (against the slope of two refits) keeps X from reading as a
+    # detection
+    trace = central_trace(200.0, 0.0)
+    fixed = make_fixed([0.25])
+    x_lo, _ = fit_central_line_two_species(trace, 199.8, fixed)
+    x_mid, res = fit_central_line_two_species(trace, 199.9, fixed)
+    assert x_mid.value_ppb > 0 and not x_mid.is_upper_bound
+    slope = (x_lo.value_ppb - x_mid.value_ppb) / 0.1
+    est, _ = fit_central_line_two_species(trace, 199.9, fixed,
+                                          n_p1_err_ppb=0.1)
+    assert est.value_ppb == x_mid.value_ppb
+    assert est.uncertainty_ppb == pytest.approx(
+        np.hypot(x_mid.uncertainty_ppb, 0.1 * slope), rel=0.02)
+    assert est.is_upper_bound
 
 
 def test_central_field_moves_the_lines():
