@@ -619,7 +619,8 @@ def _fit_deer_spectrum(cfg, args, trace):
                             t_b_delay_us=cfg["timing.t_a_us"], amps=amps)
     window = cfg["fit.window_mhz"] or None
     est_p1, res3 = fit_concentration_spectrum(trace, peakset, fixed,
-                                              window_mhz=window)
+                                              window_mhz=window,
+                                              field=cfg.field_config())
     sections["estimate.p1"] = _estimate_section(est_p1)
     conc_sections = {"estimate.p1": _estimate_section(est_p1)}
     for i, r in enumerate(res3):
@@ -633,7 +634,7 @@ def _fit_deer_spectrum(cfg, args, trace):
               if i != n_peaks // 2]
         est_x, res_x = fit_central_line_two_species(
             sub, est_p1.value_ppb, fixed, field=cfg.field_config(),
-            background=bg, n_p1_err_ppb=est_p1.uncertainty_ppb)
+            background=bg)
         sections["estimate.x"] = _estimate_section(est_x)
         conc_sections["estimate.x"] = _estimate_section(est_x)
         conc_sections["stage3.central"] = _fit_result_section(res_x)

@@ -54,12 +54,20 @@ __all__ = [
 P1_FIVE_LINE_AMPLITUDES = (1.0 / 12, 1.0 / 4, 1.0 / 3, 1.0 / 4, 1.0 / 12)
 
 # The Rabi kernel is sampled every KERNEL_STEP_MHZ over one period of its
-# Fourier series, wide enough that its images one period away move a flip
-# probability within 240 MHz of a line by < 6e-6; the modes dropped from
-# the series sum to KERNEL_TAIL.
+# Fourier series: KERNEL_PERIOD_MHZ, doubled until the kernel's images one
+# period away move the flip probability at the farthest pump frequency by
+# < KERNEL_ALIAS (_kernel_period), up to KERNEL_MAX_PERIOD_MHZ.  The modes
+# dropped from the series sum to KERNEL_TAIL.  Mode sums run over at most
+# MODE_CHUNK pump frequencies at a time, which keeps each complex product
+# far below the size at which OpenBLAS starts threads: threaded, the
+# 581-point sweep's product took 0.1 to 8 ms on a 2-core host, depending
+# on the other core's load, against ~0.2 ms on one thread.
 KERNEL_STEP_MHZ = 0.01
 KERNEL_PERIOD_MHZ = 1600.0
+KERNEL_MAX_PERIOD_MHZ = 25600.0
+KERNEL_ALIAS = 1e-5
 KERNEL_TAIL = 1e-8
+MODE_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -146,7 +154,9 @@ def population_transfer(peaks, omega_mhz, f_b_mhz, t_b_us):
     exp(-2 pi gamma nu_k - 2 pi i nu_k f_r), so the broad peaks make one
     coefficient vector, summed at each f_b with no quadrature and no
     interpolation: within 6e-6 of a tight quadrature for gamma up to
-    3 MHz out to 240 MHz.  Vectorized over f_b_mhz.
+    3 MHz out to 240 MHz.  The series is periodic; its period grows with
+    the pump's reach beyond the lines (_kernel_period), and a reach past
+    ~24 GHz raises ValueError.  Vectorized over f_b_mhz.
 
     Returns
     -------
@@ -166,24 +176,52 @@ def population_transfer(peaks, omega_mhz, f_b_mhz, t_b_us):
         else:
             widths.setdefault(p.gamma_mhz, []).append(p)
     if widths and omega_mhz > 0:
-        beta = sum(_line_modes(group, omega_mhz, t_b_us)[1]
+        broad = [p for group in widths.values() for p in group]
+        period = _kernel_period(broad, omega_mhz, fb)
+        beta = sum(_line_modes(group, omega_mhz, t_b_us, period)[1]
                    for group in widths.values())
-        out = out + _mode_sum(fb, beta[None])[0]
+        out = out + _mode_sum(fb, beta[None], period)[0]
     out = np.clip(out, 0.0, 1.0)
     if np.isscalar(f_b_mhz) or np.asarray(f_b_mhz).ndim == 0:
         return float(out[0])
     return out
 
 
-@functools.lru_cache(maxsize=8)
-def _kernel_modes(omega_mhz, t_b_us):
-    """Fourier coefficients c_k of the Rabi kernel of one pulse, with
-    R(delta) = sum_k c_k cos(2 pi k delta / KERNEL_PERIOD_MHZ).  The
-    pulse band-limits R to |nu| <= t_b, so the series stops where the
-    remaining |c_k| sum to KERNEL_TAIL.  Read-only, built once per pulse.
+def _kernel_period(peaks, omega_mhz, fb):
+    """Period (MHz) of the mode sum for broad `peaks` seen from pump
+    frequencies fb: the smallest KERNEL_PERIOD_MHZ * 2^m that puts the
+    kernel's images at least d = sqrt(2 w / KERNEL_ALIAS) beyond the
+    farthest pump-line offset.  Far from a line the line (x) kernel falls
+    as w / d^2, w = Omega^2/2 + gamma Omega: the kernel's mean tail
+    Omega^2 / (2 d^2), plus the Lorentzian's tail gamma / (pi d^2) times
+    the kernel's area (<= pi Omega); the two nearest images add up to
+    2 w / d^2.
     """
-    n = round(KERNEL_PERIOD_MHZ / KERNEL_STEP_MHZ)
-    det = np.fft.fftfreq(n, 1.0 / KERNEL_PERIOD_MHZ)
+    f_r = [p.f_r_mhz for p in peaks]
+    reach = max(fb.max(initial=-np.inf) - min(f_r),
+                max(f_r) - fb.min(initial=np.inf))
+    gamma = max(p.gamma_mhz for p in peaks)
+    need = reach + np.sqrt(2.0 * (omega_mhz**2 / 2 + gamma * omega_mhz)
+                           / KERNEL_ALIAS)
+    period = KERNEL_PERIOD_MHZ
+    while period < need and period < KERNEL_MAX_PERIOD_MHZ:
+        period *= 2.0
+    if period < need:
+        raise ValueError(f"pump frequencies reach {reach:.0f} MHz beyond "
+                         "the lines; the line operator covers "
+                         f"{KERNEL_MAX_PERIOD_MHZ - need + reach:.0f} MHz")
+    return period
+
+
+@functools.lru_cache(maxsize=8)
+def _kernel_modes(omega_mhz, t_b_us, period):
+    """Fourier coefficients c_k of the Rabi kernel of one pulse, with
+    R(delta) = sum_k c_k cos(2 pi k delta / period).  The pulse
+    band-limits R to |nu| <= t_b, so the series stops where the remaining
+    |c_k| sum to KERNEL_TAIL.  Read-only, built once per pulse and period.
+    """
+    n = round(period / KERNEL_STEP_MHZ)
+    det = np.fft.fftfreq(n, 1.0 / period)
     coef = np.fft.rfft(rabi_probability(omega_mhz, det, t_b_us)).real / n
     coef[1:] *= 2.0  # R is even: mode k > 0 stands for +k and -k
     tail = np.cumsum(np.abs(coef[::-1]))[::-1]
@@ -192,12 +230,12 @@ def _kernel_modes(omega_mhz, t_b_us):
     return coef
 
 
-def _line_modes(peaks, omega_mhz, t_b_us):
+def _line_modes(peaks, omega_mhz, t_b_us, period):
     """(nu_k, beta_k) of Lorentzians of one width gamma: beta_k =
     c_k exp(-2 pi gamma nu_k) sum_j a_j exp(-2 pi i nu_k f_j)."""
-    coef = _kernel_modes(float(omega_mhz), float(t_b_us))
-    nu = np.arange(len(coef)) / KERNEL_PERIOD_MHZ
-    shift = _powers(np.exp((-2j * np.pi / KERNEL_PERIOD_MHZ)
+    coef = _kernel_modes(float(omega_mhz), float(t_b_us), period)
+    nu = np.arange(len(coef)) / period
+    shift = _powers(np.exp((-2j * np.pi / period)
                            * np.array([p.f_r_mhz for p in peaks])), len(coef))
     return nu, coef * np.exp(-2.0 * np.pi * peaks[0].gamma_mhz * nu) * (
         np.array([p.amp for p in peaks]) @ shift)
@@ -211,42 +249,47 @@ def _powers(w, m):
     return np.cumprod(out, axis=1)
 
 
-def _mode_sum(fb, beta):
-    """Re sum_k beta[v, k] exp(2 pi i nu_k f_b) for each row v of beta.
-    With k = B q + b the phase is e^(i z b) e^(i z B q), so each f_b
-    costs one exponential and ~2 sqrt(K) products, and the sum is one
-    matrix product."""
+def _mode_sum(fb, beta, period):
+    """Re sum_k beta[v, k] exp(2 pi i nu_k f_b) for each row v of beta,
+    nu_k = k / period.  With k = B q + b the phase is e^(i z b)
+    e^(i z B q), so each f_b costs one exponential and ~2 sqrt(K)
+    products, and the sum is a matrix product per MODE_CHUNK f_b."""
     n_v, k = beta.shape
     b = int(np.ceil(np.sqrt(k)))
     q = -(-k // b)
     beta = np.concatenate([beta, np.zeros((n_v, b * q - k))], axis=1)
-    w = np.exp((2j * np.pi / KERNEL_PERIOD_MHZ) * fb)
-    fine = _powers(w, b)
-    coarse = _powers(fine[:, -1] * w, q)
-    inner = fine @ beta.reshape(n_v, q, b).transpose(0, 2, 1)
-    return (inner * coarse).sum(axis=2).real
+    beta = beta.reshape(n_v, q, b).transpose(0, 2, 1)
+    out = np.empty((n_v, len(fb)))
+    for start in range(0, len(fb), MODE_CHUNK):
+        w = np.exp((2j * np.pi / period) * fb[start:start + MODE_CHUNK])
+        fine = _powers(w, b)
+        coarse = _powers(fine[:, -1] * w, q)
+        out[:, start:start + MODE_CHUNK] = (
+            (fine @ beta) * coarse).sum(axis=2).real
+    return out
 
 
 def line_transfer_gradient(peaks, omega_mhz, f_b_mhz, t_b_us):
     """Flip probability of lines of one width, and its slopes.
 
-    peaks is one LorentzianPeak or a sequence of them sharing
-    gamma_mhz > 0.  Returns (P, dP/ds, dP/dgamma) on the pump grid, P as
+    peaks is a sequence of LorentzianPeaks sharing gamma_mhz > 0.
+    Returns (P, dP/ds, dP/dgamma) on the pump grid, P as
     population_transfer(peaks, ...) and s a shift of every centre (for
     one line, dP/df_r): the same mode sum with mode k scaled by
     -2 pi i nu_k and -2 pi nu_k.  Where P is clipped to [0, 1] its
     derivatives are zero, as for the clipped function.  The fit models
     build their Jacobians on this.
     """
-    peaks = [peaks] if isinstance(peaks, LorentzianPeak) else list(peaks)
     if omega_mhz <= 0 or any(p.gamma_mhz != peaks[0].gamma_mhz or
                              p.gamma_mhz <= 0 for p in peaks):
         raise ValueError("line_transfer_gradient needs omega_mhz > 0 and "
                          "one shared gamma_mhz > 0")
-    nu, beta = _line_modes(peaks, omega_mhz, t_b_us)
+    fb = np.atleast_1d(np.asarray(f_b_mhz, dtype=float))
+    period = _kernel_period(peaks, omega_mhz, fb)
+    nu, beta = _line_modes(peaks, omega_mhz, t_b_us, period)
     prob, d_s, d_gamma = _mode_sum(
-        np.atleast_1d(np.asarray(f_b_mhz, dtype=float)),
-        np.stack([beta, -2j * np.pi * nu * beta, -2.0 * np.pi * nu * beta]))
+        fb, np.stack([beta, -2j * np.pi * nu * beta, -2 * np.pi * nu * beta]),
+        period)
     clipped = (prob < 0.0) | (prob > 1.0)
     d_s[clipped] = 0.0
     d_gamma[clipped] = 0.0

@@ -106,13 +106,39 @@ def test_kernel_modes_built_once(monkeypatch):
         again = population_transfer([peak], 2.0, f, 0.25)
         np.testing.assert_array_equal(again, first)
     np.testing.assert_allclose(
-        deer.line_transfer_gradient(peak, 2.0, f, 0.25)[0], first,
+        deer.line_transfer_gradient([peak], 2.0, f, 0.25)[0], first,
         rtol=0, atol=1e-15)
     assert len(calls) == 1
     population_transfer([peak], 1.0, f, 0.5)
-    deer.line_transfer_gradient(peak, 1.0, f, 0.5)
+    deer.line_transfer_gradient([peak], 1.0, f, 0.5)
     assert len(calls) == 2
-    assert not deer._kernel_modes(2.0, 0.25).flags.writeable
+    assert not deer._kernel_modes(2.0, 0.25,
+                                  deer.KERNEL_PERIOD_MHZ).flags.writeable
+
+
+def test_population_transfer_far_pump():
+    # the mode sum is periodic; its period grows with the pump's reach,
+    # so a line 800-2400 MHz away, or a strong drive, shows no copy of
+    # the line
+    line = LorentzianPeak(1000.0, 1.2, 1.0)
+    f = 1000.0 + np.array([0.0, 5.0, 800.0, 1200.0, 1600.0, 2400.0])
+    ref = transfer_reference([line], 2.0, f, 0.25)
+    assert np.max(ref[2:]) < 1e-5
+    for fb, p_ref in zip(f, ref):
+        assert abs(population_transfer([line], 2.0, fb, 0.25)
+                   - p_ref) < 2e-5, fb
+        assert abs(deer.line_transfer_gradient([line], 2.0, fb, 0.25)[0][0]
+                   - p_ref) < 2e-5, fb
+    np.testing.assert_allclose(population_transfer([line], 2.0, f, 0.25),
+                               ref, rtol=0, atol=2e-5)
+    f = 1000.0 + OFFSETS
+    for gamma in (0.3, 3.0):
+        peak = LorentzianPeak(1000.0, gamma, 1.0)
+        np.testing.assert_allclose(
+            population_transfer([peak], 10.0, f, 0.05),
+            transfer_reference([peak], 10.0, f, 0.05), rtol=0, atol=2e-5)
+    with pytest.raises(ValueError):
+        population_transfer([line], 2.0, [30000.0], 0.25)
 
 
 @pytest.mark.parametrize("gamma", [0.1, 1.2, 3.0])

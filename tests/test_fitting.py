@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nvdeer import (DeerFixedParams, FieldConfiguration, LorentzianPeak,
+                    P1_FIVE_LINE_AMPLITUDES,
                     SpectrumTrace, aggregate_estimates, diffusion_coefficient,
                     epr_concentration, epr_double_integral,
                     fit_central_line_two_species, fit_concentration_spectrum,
@@ -285,23 +286,32 @@ def test_central_p1_error_makes_no_x():
         assert est.value_ppb < 1.0, n_p1_fit
 
 
-def test_central_p1_uncertainty_enters_x_error():
-    # noiseless X-free data fitted with n_P1 0.05% low: the fit error of
-    # X is the residual of that bias alone, so only the propagated n_P1
-    # error (against the slope of two refits) keeps X from reading as a
-    # detection
+def test_central_absent_x_at_its_bound():
+    # noiseless X-free data with the true n_P1: trf stops ~1e-3 ppb short
+    # of n_X = 0, where the residual it leaves makes that a 7 sigma X;
+    # the bound fits better and is reported
     trace = central_trace(200.0, 0.0)
-    fixed = make_fixed([0.25])
-    x_lo, _ = fit_central_line_two_species(trace, 199.8, fixed)
-    x_mid, res = fit_central_line_two_species(trace, 199.9, fixed)
-    assert x_mid.value_ppb > 0 and not x_mid.is_upper_bound
-    slope = (x_lo.value_ppb - x_mid.value_ppb) / 0.1
-    est, _ = fit_central_line_two_species(trace, 199.9, fixed,
-                                          n_p1_err_ppb=0.1)
-    assert est.value_ppb == x_mid.value_ppb
-    assert est.uncertainty_ppb == pytest.approx(
-        np.hypot(x_mid.uncertainty_ppb, 0.1 * slope), rel=0.02)
-    assert est.is_upper_bound
+    est, _ = fit_central_line_two_species(trace, 200.0, make_fixed([0.25]))
+    assert est.value_ppb == 0.0
+    assert est.uncertainty_ppb > 0 and est.is_upper_bound
+
+
+def test_concentration_central_pair_backfit():
+    # noiseless P1 spectrum of the six table rows: with the middle peak
+    # fitted as the field's central pair and the passes run to
+    # convergence every line returns 230 ppb; as one line it does not
+    f = np.arange(900.0, 1190.25, 0.5)
+    rows = [(230.0, fr, 1.2, a) for fr, a in p1_line_table(DEFAULT_FIELD)]
+    trace = contrast_trace(f, rows)
+    seeds = [fr for _, fr, _, _ in rows]
+    seeds = seeds[:2] + [sum(seeds[2:4]) / 2] + seeds[4:]
+    fixed = make_fixed(P1_FIVE_LINE_AMPLITUDES)
+    est, res = fit_concentration_spectrum(trace, seeds, fixed,
+                                          field=DEFAULT_FIELD)
+    np.testing.assert_allclose([r.params["n_ppb"] for r in res], 230.0,
+                               rtol=1e-6)
+    single, _ = fit_concentration_spectrum(trace, seeds, fixed)
+    assert abs(single.value_ppb - 230.0) > 0.05
 
 
 def test_central_field_moves_the_lines():
