@@ -55,4 +55,4 @@ noisy = SpectrumTrace(trace.x, y_meas, x_label=trace.x_label,
 omega_fit, info = fit_rabi_frequency(noisy)
 print(f"\nnutation fit on 1% noisy trace: Omega = {omega_fit:.4f} MHz "
       f"(true {OMEGA:.1f}), pi-pulse length = {0.5 / omega_fit:.4f} us, "
-      f"decay tau = {info.params['tau']:.1f} us")
+      f"decay rate = {info.params['k_per_us']:.4f} /us (true 0.125)")

@@ -16,9 +16,9 @@ The two curves share no code path beyond the line table and that
 contrast map (deer_signal_from_transfer), so agreement at the few-1e-3
 level validates each against the other.
 
-Takes roughly half a minute (the numeric half integrates six spins over
-a hundred-point frequency grid).  Writes spectrum_demo.csv plus a plot
-sidecar into demos/out/.
+Takes under a second on a 2-core x86 host (0.7 s; the numeric half
+propagates six spins over a hundred-point frequency grid).  Writes
+spectrum_demo.csv plus a plot sidecar into demos/out/.
 """
 
 import pathlib

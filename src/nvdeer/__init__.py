@@ -45,5 +45,6 @@ from .fitting import (ConcentrationEstimate, DeerFixedParams, FitResult,
                       epr_concentration, epr_double_integral,
                       fit_central_line_two_species,
                       fit_concentration_spectrum, fit_deer_decay,
-                      fit_eseem, fit_hahn_decay, fit_lorentzian_peaks,
-                      fit_rabi_frequency, fit_saturation, nv_count)
+                      fit_deer_spectrum, fit_eseem, fit_hahn_decay,
+                      fit_lorentzian_peaks, fit_rabi_frequency,
+                      fit_saturation, nv_count)

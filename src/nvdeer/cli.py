@@ -21,18 +21,15 @@ import numpy as np
 
 from . import __version__
 from .datasets import DataSet, read_summary, write_plot_spec, write_summary
-from .deer import (LorentzianPeak, P1_FIVE_LINE_AMPLITUDES,
-                   deer_signal_from_transfer, population_transfer,
-                   rabi_probability)
+from .deer import (LorentzianPeak, deer_signal_from_transfer,
+                   population_transfer, rabi_probability)
 from .dynamics import compute_sigma, ensemble_transfer, simulate_rabi
 from .errors import (ConfigError, DataError, FitError, IntegrationError,
                      NumericError)
-from .fitting import (DeerFixedParams, diffusion_coefficient,
-                      epr_concentration, epr_double_integral,
-                      fit_central_line_two_species,
-                      fit_concentration_spectrum, fit_deer_decay, fit_eseem,
-                      fit_hahn_decay, fit_lorentzian_peaks,
-                      fit_rabi_frequency, fit_saturation)
+from .fitting import (diffusion_coefficient, epr_concentration,
+                      epr_double_integral, fit_deer_decay, fit_deer_spectrum,
+                      fit_eseem, fit_hahn_decay, fit_rabi_frequency,
+                      fit_saturation)
 from .hamiltonians import (apply_orientation, nv_line_table,
                            nv_offaxis_member, nv_onaxis_member, p1_ensemble,
                            p1_group_table, p1_line_table, static_hamiltonian,
@@ -95,7 +92,6 @@ _SCHEMA = {
     "fit": {
         "n_peaks": (5, int, _positive),
         "rabi_mhz": (0.0, float, _non_negative),
-        "window_mhz": (0.0, float, _non_negative),
         "two_species": (True, bool, _any),
         "p_b": (0.0, float, _fraction),
         "f_init_mhz": ("", str, _any),
@@ -315,6 +311,13 @@ def _spectrum_transfer(cfg, field, fgrid):
     omega = field.rabi_mhz
     t_b = cfg["timing.t_b_us"]
     if cfg["run.engine"] == "dynamics":
+        # the propagator models zero-width members; broadening them is
+        # not implemented, and dropping the width would pass off a sharp
+        # spectrum as a broad one
+        if gamma > 0:
+            raise ConfigError(
+                f"ensemble.gamma_mhz: the dynamics engine models zero-width "
+                f"lines, set it to 0 (got {gamma!r})")
         pt_p1 = ensemble_transfer(p1_ensemble(merge_off_axis=True), field,
                                   fgrid, t_b)
         pt_x = ensemble_transfer([x_member()], field, fgrid, t_b)
@@ -573,13 +576,11 @@ def _estimate_section(est):
 
 
 def _fit_deer_spectrum(cfg, args, trace):
-    """The staged spectrum fit.  Writes peaks.ini, rabi.ini (with
-    --rabi-data) and concentrations.ini; returns the report sections."""
-    sections = {}
-
-    # stage 1: line positions (fit.f_init_mhz pins the starting centers
-    # when the automatic dip finder is not trustworthy, e.g. overlapped
-    # species)
+    """The staged spectrum fit (fitting.fit_deer_spectrum).  Writes
+    peaks.ini, rabi.ini (with --rabi-data) and concentrations.ini;
+    returns the report sections."""
+    # fit.f_init_mhz pins stage one's starting centers when the automatic
+    # dip finder is not trustworthy, e.g. overlapped species
     init = None
     if cfg["fit.f_init_mhz"]:
         try:
@@ -589,56 +590,38 @@ def _fit_deer_spectrum(cfg, args, trace):
                               "frequencies") from None
         if len(init) != cfg["fit.n_peaks"]:
             raise ConfigError("fit.f_init_mhz: need one frequency per peak")
-    peakset, res1 = fit_lorentzian_peaks(trace, cfg["fit.n_peaks"],
-                                         init=init)
-    sections["stage1.peaks"] = _fit_result_section(res1)
-    _write_ini(cfg, "peaks.ini", {"peaks": _fit_result_section(res1)})
 
     # stage 2: pump Rabi frequency
     if args.rabi_data:
         rabi_trace = _read_trace(args.rabi_data, "t_us", "p_flip",
                                  "p_flip_err")
         omega, res2 = fit_rabi_frequency(rabi_trace)
-        sections["stage2.rabi"] = _fit_result_section(res2)
-        _write_ini(cfg, "rabi.ini", {"rabi": _fit_result_section(res2)})
+        rabi = _fit_result_section(res2)
+        _write_ini(cfg, "rabi.ini", {"rabi": rabi})
     elif cfg["fit.rabi_mhz"] > 0:
         omega = cfg["fit.rabi_mhz"]
-        sections["stage2.rabi"] = {"f_rabi": omega, "source": "config"}
+        rabi = {"f_rabi": omega, "source": "config"}
     else:
         raise DataError(
             "stage 2 (Rabi calibration) input missing: pass --rabi-data "
             "or set fit.rabi_mhz in the config")
 
-    # stage 3: per-line concentration fits
-    n_peaks = cfg["fit.n_peaks"]
-    if n_peaks == 5:
-        amps = P1_FIVE_LINE_AMPLITUDES
-    else:
-        amps = tuple([1.0 / n_peaks] * n_peaks)
-    fixed = DeerFixedParams(omega_mhz=omega, t_b_us=cfg["timing.t_b_us"],
-                            t_b_delay_us=cfg["timing.t_a_us"], amps=amps)
-    window = cfg["fit.window_mhz"] or None
-    est_p1, res3 = fit_concentration_spectrum(trace, peakset, fixed,
-                                              window_mhz=window,
-                                              field=cfg.field_config())
-    sections["estimate.p1"] = _estimate_section(est_p1)
-    conc_sections = {"estimate.p1": _estimate_section(est_p1)}
-    for i, r in enumerate(res3):
+    fit = fit_deer_spectrum(trace, omega, cfg["timing.t_b_us"],
+                            cfg["timing.t_a_us"], field=cfg.field_config(),
+                            n_peaks=cfg["fit.n_peaks"], init=init,
+                            two_species=cfg["fit.two_species"])
+    peaks = _fit_result_section(fit.peak_fit)
+    _write_ini(cfg, "peaks.ini", {"peaks": peaks})
+    sections = {"stage1.peaks": peaks, "stage2.rabi": rabi,
+                "estimate.p1": _estimate_section(fit.p1)}
+    conc_sections = {"estimate.p1": sections["estimate.p1"]}
+    for i, r in enumerate(fit.line_fits):
         conc_sections[f"stage3.peak_{i + 1}"] = _fit_result_section(r)
-
-    if cfg["fit.two_species"] and n_peaks == 5:
-        ctr = sorted(p.f_r_mhz for p in peakset)[n_peaks // 2]
-        sub = trace.window(ctr - 16.0, ctr + 12.0)
-        bg = [(r.params["n_ppb"], r.params["f_r"], r.params["gamma"], a)
-              for i, (r, a) in enumerate(zip(res3, amps))
-              if i != n_peaks // 2]
-        est_x, res_x = fit_central_line_two_species(
-            sub, est_p1.value_ppb, fixed, field=cfg.field_config(),
-            background=bg)
-        sections["estimate.x"] = _estimate_section(est_x)
-        conc_sections["estimate.x"] = _estimate_section(est_x)
-        conc_sections["stage3.central"] = _fit_result_section(res_x)
-
+    if fit.x is not None:
+        sections["estimate.x"] = _estimate_section(fit.x)
+        conc_sections["estimate.x"] = sections["estimate.x"]
+        conc_sections["stage3.central"] = _fit_result_section(
+            fit.central_fit)
     _write_ini(cfg, "concentrations.ini", conc_sections)
     return sections
 

@@ -6,12 +6,15 @@ per-point sigma weighting when the trace carries errors and covariance
 from J^T J scaled by the reduced chi-square.  Every fit makes one start
 from a seed taken from the data (dip positions, the dominant FFT bin's
 frequency and phase, the dip depth) and raises FitError when that start
-fails; there are no random restarts.  The public fit functions still
-accept a `seed` keyword, which is unused; the benchmark workloads pass
-it.  The concentration extraction follows the staged protocol:
-Lorentzian peak positions first, Rabi frequency second, then per-peak
-echo-contrast fits with everything but (f_r, Gamma, n_b) frozen, and a
-central fit of the P1 pair and the X line, both placed by the field.
+fails; there are no random restarts.  The four stage fits of the
+spectrum still accept an unused `seed` keyword, because the benchmark
+workloads pass it.  The concentration extraction follows the staged
+protocol: Lorentzian peak positions first, Rabi frequency second, then
+per-peak echo-contrast fits with everything but (f_r, Gamma, n_b)
+frozen, and a central fit of the P1 pair and the X line, both placed by
+the field; stages three and four share one line model (_fit_lines).
+fit_deer_spectrum runs stages one, three and four for the CLI, the
+selftest and the demos.
 """
 
 import functools
@@ -22,7 +25,8 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from . import constants as c
-from .deer import (LorentzianPeak, LorentzianPeakSet, contrast_rate_per_ppb,
+from .deer import (LorentzianPeak, LorentzianPeakSet,
+                   P1_FIVE_LINE_AMPLITUDES, contrast_rate_per_ppb,
                    deer_signal_from_transfer, detection_limit_ppb,
                    line_transfer_gradient, population_transfer)
 from .errors import DataError, FitError, FitWarning, DataQualityWarning
@@ -33,10 +37,12 @@ __all__ = [
     "FitResult",
     "ConcentrationEstimate",
     "DeerFixedParams",
+    "SpectrumFit",
     "fit_lorentzian_peaks",
     "fit_rabi_frequency",
     "fit_concentration_spectrum",
     "fit_central_line_two_species",
+    "fit_deer_spectrum",
     "fit_deer_decay",
     "fit_hahn_decay",
     "fit_eseem",
@@ -169,9 +175,9 @@ def _run_fit(model, x, y, sigma, p0, names, lower=None, upper=None,
         cov = np.linalg.inv(jtj) * chi2_red
     except np.linalg.LinAlgError:
         cov = np.linalg.pinv(jtj) * chi2_red
-    # conditioning of the column-scaled JTJ, so parameters on very
-    # different scales (a decay time ~1e9 us next to an offset ~1) do not
-    # read as degenerate; a zero column is a parameter the data miss
+    # conditioning of the column-scaled JTJ, so parameters in very
+    # different units (a density in ppb next to a line centre in MHz) do
+    # not read as degenerate; a zero column is a parameter the data miss
     norms = np.sqrt(np.diag(jtj))
     live = norms > 0
     if not live.all():
@@ -328,13 +334,15 @@ def fit_lorentzian_peaks(trace, n_peaks, init=None, seed=0):
 def fit_rabi_frequency(trace, seed=0):
     """Rabi frequency from a driven-nutation trace.
 
-    Model: y = c + a exp(-t/tau) cos(2 pi f t + phi), seeded by the
+    Model: y = c + a exp(-k t) cos(2 pi f t + phi), seeded by the
     dominant FFT bin: its frequency seeds f and its phase, referred to
     t = 0, seeds phi, which is bounded to one turn around that seed and
     reported wrapped into (-pi, pi].  (A nutation (1 - cos)/2 has
-    phi = pi.)  Returns (omega_mhz, FitResult); the result also carries
-    t_pi = 1/(2 Omega) with its propagated error.  `seed` is accepted
-    and unused: the fit makes one start.
+    phi = pi.)  The decay rate k_per_us lies in [0, 1/dt], seeded at
+    1/(t span), so an undamped trace stops at its bound k = 0.  Returns
+    (omega_mhz, FitResult); the result also carries t_pi = 1/(2 Omega)
+    with its propagated error.  `seed` is accepted and unused: the fit
+    makes one start.
     """
     t, y = trace.x, trace.y
     if len(t) < 8:
@@ -354,22 +362,23 @@ def fit_rabi_frequency(trace, seed=0):
         raise ValueError("trace must span at least 1.5 oscillation periods")
     phi0 = _wrap_phase(np.angle(bins[k]) - 2 * np.pi * f0 * t[0])
 
-    p0 = [y.mean(), (y.max() - y.min()) / 2, t[-1] - t[0], f0, phi0]
-    names = ["c", "a", "tau", "f", "phi"]
+    p0 = [y.mean(), (y.max() - y.min()) / 2, 1.0 / (t[-1] - t[0]), f0,
+          phi0]
+    names = ["c", "a", "k_per_us", "f", "phi"]
 
     def model(tv, p):
-        c_, a, tau, f, phi = p
-        env = np.exp(-tv / tau)
+        c_, a, k_, f, phi = p
+        env = np.exp(-k_ * tv)
         phase = 2 * np.pi * f * tv + phi
         cos_, sin_ = np.cos(phase), np.sin(phase)
         jac = np.column_stack([np.ones_like(tv), env * cos_,
-                               a * env * cos_ * tv / tau**2,
+                               -a * env * cos_ * tv,
                                -2 * np.pi * a * env * sin_ * tv,
                                -a * env * sin_])
         return c_ + a * env * cos_, jac
 
-    lo = [-np.inf, 0.0, dt, f0 / 3.0, phi0 - np.pi]
-    hi = [np.inf, np.inf, np.inf, min(3.0 * f0, freqs[-1] * 1.5),
+    lo = [-np.inf, 0.0, 0.0, f0 / 3.0, phi0 - np.pi]
+    hi = [np.inf, np.inf, 1.0 / dt, min(3.0 * f0, freqs[-1] * 1.5),
           phi0 + np.pi]
     result = _run_fit(model, t, y, _weights(trace), p0, names,
                       lower=lo, upper=hi)
@@ -443,21 +452,60 @@ def _peaks(f_r, gamma, amp):
             for fj, aj in zip(np.atleast_1d(f_r), np.atleast_1d(amp))]
 
 
-def _background(fixed, rows, f):
-    """Contrast of already-fitted lines, rows of (n_ppb, f_r, gamma, amp)
-    with f_r and amp scalars or sequences (DeerFixedParams.transfer);
-    1.0 for no rows."""
-    return fixed.contrast([fixed.transfer(fj, gj, aj, f)
-                           for _, fj, gj, aj in rows],
-                          [nj for nj, _, _, _ in rows])
+def _fit_lines(trace, fixed, groups, f_c, gamma, n0, background,
+               names=("f_r", "gamma", "n_ppb")):
+    """The line fit of stages three and four: I = b bg exp(-C T_B
+    sum_s n_s P_s(f)), every line shifted by f_c and of width gamma.
+
+    groups holds (n_ppb, ((offset from f_c, area), ...)); the one group
+    with n_ppb None has the free density, seeded at n0.  The parameters
+    are f_c, gamma and that density (under `names`) and, with background
+    None, a free baseline b ("base"); otherwise bg is the contrast of the
+    background rows (n_ppb, f_r, gamma, amp), f_r and amp scalars or
+    sequences (DeerFixedParams.transfer), and b = 1.  Returns the
+    FitResult and its model(f, p) -> (I, J).
+    """
+    free = [n for n, _ in groups].index(None)
+    offsets = [np.array([d for d, _ in lines]) for _, lines in groups]
+    areas = [[a for _, a in lines] for _, lines in groups]
+    free_base = background is None
+    bg = fixed.contrast([fixed.transfer(fj, gj, aj, trace.x)
+                         for _, fj, gj, aj in background or []],
+                        [nj for nj, _, _, _ in background or []])
+    rate = fixed.rate_per_ppb()
+
+    def model(fv, p):
+        dens = [p[2] if n is None else n for n, _ in groups]
+        grads = [fixed.transfer_gradient(p[0] + d, p[1], a, fv)
+                 for d, a in zip(offsets, areas)]
+        # one group keeps the one-species grouping of the contrast law
+        contrast = (fixed.contrast(grads[0][0], dens[0]) if len(groups) == 1
+                    else fixed.contrast([g[0] for g in grads], dens))
+        out = (p[3] if free_base else 1.0) * bg * contrast
+        cols = [sum(-rate * n * g[1] for n, g in zip(dens, grads)) * out,
+                sum(-rate * n * g[2] for n, g in zip(dens, grads)) * out,
+                -rate * grads[free][0] * out]
+        if free_base:
+            cols.append(bg * contrast)
+        return out, np.column_stack(cols)
+
+    p0, xs = [f_c, gamma, n0], [1.0, 1.0, max(n0, 1.0)]
+    lo, hi = [trace.x[0], 0.01, 0.0], [trace.x[-1], 50.0, 1e6]
+    if free_base:
+        names, p0 = names + ("base",), p0 + [np.percentile(trace.y, 90)]
+        lo, hi, xs = lo + [0.5], hi + [1.5], xs + [1.0]
+    res = _run_fit(model, trace.x, trace.y, _weights(trace), p0, names,
+                   lower=lo, upper=hi, x_scale=xs)
+    return res, model
 
 
-def fit_concentration_spectrum(trace, seeds, fixed, window_mhz=None,
-                               exclude_central=True, seed=0, field=None):
+def fit_concentration_spectrum(trace, seeds, fixed, exclude_central=True,
+                               seed=0, field=None):
     """Per-peak concentration fits of a normalized echo-contrast spectrum.
 
-    For each seed peak the trace is windowed around the center and fitted
-    with I(f) = b exp(-C n T_B A_i P(f; f_r, Gamma)), the fixed amplitude
+    For each seed peak the trace is windowed to max(8 Gamma, 5 Omega, 10)
+    MHz around the center and fitted (_fit_lines) with
+    I(f) = b exp(-C n T_B A_i P(f; f_r, Gamma)), the fixed amplitude
     A_i taken from `fixed.amps` in frequency order; free parameters are
     (f_r, Gamma, n_b) plus a local baseline b that absorbs the wings of
     the neighboring lines (without it the weak outer lines bias high by
@@ -482,19 +530,15 @@ def fit_concentration_spectrum(trace, seeds, fixed, window_mhz=None,
         Usually the stage-one output.
     fixed : DeerFixedParams
         amps must have one entry per seed, frequency-ordered.
-    window_mhz : float
-        Half width of each per-peak fit window; default covers the pulse
-        bandwidth and the seed linewidth.
     exclude_central : bool
         Drop the middle peak (odd count) from the aggregate; that line
         overlaps the X defect and is fitted separately.
     seed : accepted and unused; every fit makes one start.
-    field : FieldConfiguration, optional
-        With five peaks, fit the middle one as the central P1 pair of
-        p1_line_table(field) (_central_group), shifted together by its
-        f_r, instead of as one line of amp 1/3: one line takes up the
-        pair's splitting in an inflated width and density, which its
-        wings then carry into the other peaks' background.
+    field : FieldConfiguration, optional (None is DEFAULT_FIELD)
+        With five peaks the middle one is fitted as the central P1 pair
+        of p1_line_table(field) (_central_group), shifted together by its
+        f_r: one line would take up the pair's splitting in an inflated
+        width and density, and bias the other peaks through its wings.
 
     Returns
     -------
@@ -514,55 +558,26 @@ def fit_concentration_spectrum(trace, seeds, fixed, window_mhz=None,
         raise ValueError("fixed.amps must have one amplitude per peak")
 
     lines = [((0.0, a),) for a in fixed.amps]
-    if field is not None and len(lines) == 5:
-        lines[2] = _central_group(field)[0]
+    if len(lines) == 5:
+        lines[2] = _central_group(DEFAULT_FIELD if field is None
+                                  else field)[0]
 
     def fit_one(f_c, g_c, group, n0, background):
         # first pass: n0 None (seeded from the dip depth) and background
         # None (a free baseline instead)
-        if window_mhz is None:
-            w = max(8.0 * g_c, 5.0 * fixed.omega_mhz, 10.0)
-        else:
-            w = window_mhz
+        w = max(8.0 * g_c, 5.0 * fixed.omega_mhz, 10.0)
         sub = trace.window(f_c - w, f_c + w)
         if len(sub) < 8:
             raise ValueError(f"window around {f_c:.1f} MHz has too few "
                              "points")
-        offsets = np.array([d for d, _ in group])
-        amp = [a for _, a in group]
         if n0 is None:
-            p_res = fixed.transfer(offsets, 0.5, amp, 0.0)
+            p_res = fixed.transfer([d for d, _ in group], 0.5,
+                                   [a for _, a in group], 0.0)
             n0 = detection_limit_ppb(
                 np.clip(1.0 - sub.y.min(), 1e-4, 0.999), fixed.t_b_delay_us,
                 fixed.sigma_b, max(p_res, 1e-6), fixed.g_a, fixed.g_b)
-        bg = _background(fixed, background or [], sub.x)
-        rate = fixed.rate_per_ppb()
-
-        def model(fv, p):
-            base = p[3] if background is None else 1.0
-            pb, dpb_df, dpb_dg = fixed.transfer_gradient(p[0] + offsets, p[1],
-                                                         amp, fv)
-            contrast = fixed.contrast(pb, p[2])
-            out = base * bg * contrast
-            cols = [-rate * p[2] * dpb_df * out, -rate * p[2] * dpb_dg * out,
-                    -rate * pb * out]
-            if background is None:
-                cols.append(bg * contrast)
-            return out, np.column_stack(cols)
-
-        p0 = [f_c, g_c, n0]
-        names = ["f_r", "gamma", "n_ppb"]
-        lo = [sub.x[0], 0.01, 0.0]
-        hi = [sub.x[-1], 50.0, 1e6]
-        xs = [1.0, 1.0, max(n0, 1.0)]
-        if background is None:
-            p0.append(float(np.percentile(sub.y, 90)))
-            names.append("base")
-            lo.append(0.5)
-            hi.append(1.5)
-            xs.append(1.0)
-        return _run_fit(model, sub.x, sub.y, _weights(sub), p0, names,
-                        lower=lo, upper=hi, x_scale=xs)
+        return _fit_lines(sub, fixed, [(None, group)], f_c, g_c, n0,
+                          background)[0]
 
     results = [fit_one(f_c, g_c, group, None, None)
                for f_c, g_c, group in zip(centers, gammas, lines)]
@@ -612,19 +627,18 @@ def fit_central_line_two_species(trace, n_p1_ppb, fixed, field=None,
                                  background=None, seed=0):
     """X concentration from the central window with the P1 part frozen.
 
-    Model: I = exp(-C T_B [n_P1 sum_j P(f; f_c + d_j, Gamma, A_j)
-    + n_X P(f; f_c + d_X, Gamma, 1)]).  The P1 part is the physical
-    central pair, the two middle rows of p1_line_table(field), each at
-    its offset d_j from the pair's area-weighted centre f_c with its
-    area A_j (1/12 and 1/4); n_P1 is fixed.  The X species is a bare
+    Model (_fit_lines): I = exp(-C T_B [n_P1 sum_j P(f; f_c + d_j,
+    Gamma, A_j) + n_X P(f; f_c + d_X, Gamma, 1)]).  The P1 part is the
+    physical central pair, the two middle rows of p1_line_table(field),
+    each at its offset d_j from the pair's area-weighted centre f_c with
+    its area A_j (1/12 and 1/4); n_P1 is fixed.  The X species is a bare
     S = 1/2 line (amplitude 1) placed by the field at
     d_X = x_line_frequency(field) - centre, with the pair's width.  The
     free parameters are f_c, Gamma and n_X (plus a baseline `base` when
     no background is given); f_x and gamma_x are reported as derived
     params.  `fixed` supplies the pulse and contrast constants; its amps
-    are not used.  field=None is the default config field (37.2 mT,
-    tilted 0.1 deg).  `seed` is accepted and unused: the fit makes one
-    start.
+    are not used.  field=None is DEFAULT_FIELD.  `seed` is accepted and
+    unused: the fit makes one start.
 
     `background`, when given, is a list of (n_ppb, f_r, gamma, amp) rows
     for already-fitted neighboring lines; their contrast is multiplied in
@@ -638,46 +652,15 @@ def fit_central_line_two_species(trace, n_p1_ppb, fixed, field=None,
         raise ValueError("n_p1_ppb must be >= 0")
     pair, x_offset = _central_group(DEFAULT_FIELD if field is None
                                     else field)
-    free_base = background is None
-    bg = _background(fixed, background or [], trace.x)
-    rate = fixed.rate_per_ppb()
-
-    def model(fv, p):
-        f_c, g_c, n_x = p[:3]
-        base = p[3] if free_base else 1.0
-        p_c, dc_df, dc_dg = fixed.transfer_gradient(
-            [f_c + d for d, _ in pair], g_c, [a for _, a in pair], fv)
-        p_x, dx_df, dx_dg = fixed.transfer_gradient(f_c + x_offset, g_c,
-                                                    1.0, fv)
-        contrast = fixed.contrast([p_c, p_x], [n_p1_ppb, n_x])
-        out = base * bg * contrast
-        cols = [-rate * (n_p1_ppb * dc_df + n_x * dx_df) * out,
-                -rate * (n_p1_ppb * dc_dg + n_x * dx_dg) * out,
-                -rate * p_x * out]
-        if free_base:
-            cols.append(bg * contrast)
-        return out, np.column_stack(cols)
-
-    f_c0 = trace.x[np.argmin(trace.y)]
-    n_x0 = max(0.05 * n_p1_ppb, 1.0)
-    p0 = [f_c0, 1.0, n_x0]
-    names = ["f_central", "gamma_central", "n_x_ppb"]
-    lo = [trace.x[0], 0.01, 0.0]
-    hi = [trace.x[-1], 50.0, 1e6]
-    xs = [1.0, 1.0, max(n_x0, 1.0)]
-    if free_base:
-        p0.append(float(np.percentile(trace.y, 90)))
-        names.append("base")
-        lo.append(0.5)
-        hi.append(1.5)
-        xs.append(1.0)
-    res = _run_fit(model, trace.x, trace.y, _weights(trace), p0, names,
-                   lower=lo, upper=hi, x_scale=xs)
+    res, model = _fit_lines(
+        trace, fixed, [(n_p1_ppb, pair), (None, ((x_offset, 1.0),))],
+        trace.x[np.argmin(trace.y)], 1.0, max(0.05 * n_p1_ppb, 1.0),
+        background, names=("f_central", "gamma_central", "n_x_ppb"))
     # trf closes in on a bound geometrically and stops short of it: on
     # X-free data n_X ends ~1e-3 ppb above 0, where the residual it leaves
     # makes that seven of its own sigmas.  When the bound fits at least as
     # well it is the constrained minimum, and n_X is reported there.
-    at_bound = np.array([res.params[n] for n in names])
+    at_bound = np.array([res.params[n] for n in res.param_names])
     at_bound[2] = 0.0
     if np.linalg.norm((model(trace.x, at_bound)[0] - trace.y)
                       / _weights(trace)) <= res.residual_norm:
@@ -696,13 +679,56 @@ def fit_central_line_two_species(trace, n_p1_ppb, fixed, field=None,
     return est, res
 
 
+@dataclass
+class SpectrumFit:
+    """The stage results of fit_deer_spectrum."""
+
+    peaks: LorentzianPeakSet
+    peak_fit: FitResult
+    p1: ConcentrationEstimate
+    line_fits: list
+    x: ConcentrationEstimate = None
+    central_fit: FitResult = None
+
+
+def fit_deer_spectrum(trace, omega_mhz, t_b_us, t_b_delay_us, field=None,
+                      n_peaks=5, init=None, two_species=True):
+    """Stages one, three and four of the spectrum fit, given stage two's
+    pump Rabi frequency: n_peaks dips (fit_lorentzian_peaks, seeded at
+    `init`), their densities at P1_FIVE_LINE_AMPLITUDES, or equal areas
+    for another count (fit_concentration_spectrum), and with five peaks
+    and two_species the X line in the window from 16 MHz below to 12 MHz
+    above the middle dip, the outer lines as background
+    (fit_central_line_two_species).  field=None is DEFAULT_FIELD.
+    Returns a SpectrumFit, whose x and central_fit stay None without
+    stage four.
+    """
+    peaks, peak_fit = fit_lorentzian_peaks(trace, n_peaks, init=init)
+    amps = (P1_FIVE_LINE_AMPLITUDES if n_peaks == 5
+            else tuple([1.0 / n_peaks] * n_peaks))
+    fixed = DeerFixedParams(omega_mhz=omega_mhz, t_b_us=t_b_us,
+                            t_b_delay_us=t_b_delay_us, amps=amps)
+    p1, line_fits = fit_concentration_spectrum(trace, peaks, fixed,
+                                               field=field)
+    out = SpectrumFit(peaks, peak_fit, p1, line_fits)
+    if two_species and n_peaks == 5:
+        ctr = sorted(p.f_r_mhz for p in peaks)[2]
+        background = [(r.params["n_ppb"], r.params["f_r"],
+                       r.params["gamma"], a)
+                      for i, (r, a) in enumerate(zip(line_fits, amps))
+                      if i != 2]
+        out.x, out.central_fit = fit_central_line_two_species(
+            trace.window(ctr - 16.0, ctr + 12.0), p1.value_ppb, fixed,
+            field=field, background=background)
+    return out
+
+
 def fit_deer_decay(trace, p_b, sigma_b=0.5, g_a=c.G_ELECTRON,
-                   g_b=c.G_ELECTRON, seed=0):
+                   g_b=c.G_ELECTRON):
     """Concentration from an echo-contrast decay versus delay time.
 
     Model: I(T_B) = exp(-C n P_B T_B) with P_B fixed (the pump flip
-    probability at the chosen line).  Needs >= 8 delay points.  `seed`
-    is accepted and unused: the fit makes one start.
+    probability at the chosen line).  Needs >= 8 delay points.
     """
     if not 0 <= p_b <= 1:
         raise ValueError("p_b must be in [0, 1]")
@@ -754,11 +780,10 @@ def _stretched_exp(tv, a, t2, n):
     return out, np.column_stack([env, out * n * q / t2, -out * q * log_r])
 
 
-def fit_hahn_decay(trace, seed=0):
+def fit_hahn_decay(trace):
     """Stretched-exponential echo decay a exp(-(t/T2)^n).
 
-    Returns FitResult with params a, t2_us, n.  `seed` is accepted and
-    unused: the fit makes one start.
+    Returns FitResult with params a, t2_us, n.
     """
     t, y = trace.x, trace.y
     if len(t) < 6:
@@ -776,14 +801,13 @@ def fit_hahn_decay(trace, seed=0):
     return res
 
 
-def fit_eseem(trace, b0_mt, seed=0):
+def fit_eseem(trace, b0_mt):
     """Nuclear modulation on a stretched-exponential echo decay.
 
     Model: y = a exp(-(t/T2)^n) (1 - k sin^2(pi f t + phi)).  The
     modulation frequency seed comes from the FFT of the envelope-divided
     signal.  Returns (info dict with f_mhz and gamma_n_mhz_per_t,
-    FitResult); gamma_n = 2 f / B0.  `seed` is accepted and unused:
-    each fit makes one start.
+    FitResult); gamma_n = 2 f / B0.
     """
     if b0_mt <= 0:
         raise ValueError("b0_mt must be > 0")
@@ -831,13 +855,12 @@ def fit_eseem(trace, b0_mt, seed=0):
 
 # --------------------------------------------------------- saturation
 
-def fit_saturation(trace, background=None, seed=0):
+def fit_saturation(trace, background=None):
     """PL saturation curve F(P) = F_sat P / (P + P_sat).
 
     background, when given, is a trace on the same power grid subtracted
     point-wise first (linear APD background).  Warns when the data stops
-    below half the fitted saturation power.  `seed` is accepted and
-    unused: the fit makes one start.
+    below half the fitted saturation power.
     """
     x, y = trace.x, trace.y.copy()
     if background is not None:

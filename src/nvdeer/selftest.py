@@ -1,11 +1,12 @@
 """Built-in acceptance suite.
 
 Nine end-to-end checks covering the physics oracles, the closed-form
-model, the numeric propagator and the staged fit pipeline.  Each check
-returns a CheckResult; run_all executes them in order and the CLI
-selftest subcommand prints one pass/fail line per check.  The same
-functions back tests/test_acceptance.py so the shipped binary and the
-test suite agree on what "working" means.
+model, the numeric propagator and the staged fit pipeline; the round
+trip runs the CLI's stages (fitting.fit_deer_spectrum after a stage-two
+Rabi fit).  Each check returns a CheckResult; run_all executes them in
+order and the CLI selftest subcommand prints one pass/fail line per
+check.  The same functions back tests/test_acceptance.py so the shipped
+binary and the test suite agree on what "working" means.
 """
 
 import time
@@ -13,15 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .deer import (LorentzianPeak, P1_FIVE_LINE_AMPLITUDES,
-                   deer_signal_from_transfer, detection_limit_ppb,
-                   lorentzian, population_transfer, rabi_probability)
+from .deer import (LorentzianPeak, deer_signal_from_transfer,
+                   detection_limit_ppb, lorentzian, population_transfer,
+                   rabi_probability)
 from .dynamics import (compute_sigma, ensemble_transfer, propagate_unitary,
                        SinusoidalDrive)
-from .fitting import (DeerFixedParams, diffusion_coefficient,
-                      fit_central_line_two_species,
-                      fit_concentration_spectrum, fit_eseem,
-                      fit_lorentzian_peaks, fit_rabi_frequency)
+from .fitting import (diffusion_coefficient, fit_deer_spectrum, fit_eseem,
+                      fit_rabi_frequency)
 from .hamiltonians import (apply_orientation, nv_offaxis_member, p1_ensemble,
                            p1_line_table, static_hamiltonian,
                            x_line_frequency, x_member)
@@ -173,7 +172,7 @@ def check_rabi_oracle():
 
 
 def check_round_trip():
-    """Synthetic two-species spectrum through the staged fit pipeline."""
+    """Synthetic two-species spectrum through the CLI's staged fit."""
     t0 = time.time()
     n_p1_true, n_x_true, gamma_true = 200.0, 13.0, 1.2
     omega, t_b, t_b_delay = 2.0, 0.25, 20.0
@@ -193,25 +192,14 @@ def check_round_trip():
                           y_err=np.full(len(fgrid), 0.01),
                           x_label="f_B (MHz)", y_label="I_DEER")
 
-    peakset, _ = fit_lorentzian_peaks(trace, 5)
-
     t_r = np.linspace(0.02, 3.0, 120)
     y_r = (0.5 - 0.5 * np.exp(-t_r / 8.0) * np.cos(2 * np.pi * omega * t_r)
            + 0.01 * rng.standard_normal(len(t_r)))
     omega_fit, _ = fit_rabi_frequency(
         SpectrumTrace(t_r, y_r, x_label="t (us)", y_label="P"))
 
-    fixed = DeerFixedParams(omega_mhz=omega_fit, t_b_us=t_b,
-                            t_b_delay_us=t_b_delay,
-                            amps=P1_FIVE_LINE_AMPLITUDES)
-    est_p1, res3 = fit_concentration_spectrum(trace, peakset, fixed)
-    ctr = sorted(p.f_r_mhz for p in peakset)[2]
-    sub = trace.window(ctr - 16.0, ctr + 12.0)
-    bg = [(r.params["n_ppb"], r.params["f_r"], r.params["gamma"], a)
-          for i, (r, a) in enumerate(zip(res3, P1_FIVE_LINE_AMPLITUDES))
-          if i != 2]
-    est_x, _ = fit_central_line_two_species(sub, est_p1.value_ppb, fixed,
-                                            field=FIELD, background=bg)
+    fit = fit_deer_spectrum(trace, omega_fit, t_b, t_b_delay, field=FIELD)
+    est_p1, est_x = fit.p1, fit.x
 
     err_p1 = abs(est_p1.value_ppb / n_p1_true - 1.0)
     err_x = abs(est_x.value_ppb / n_x_true - 1.0)

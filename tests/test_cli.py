@@ -404,6 +404,16 @@ def test_simulate_dynamics_engine_spectrum(tmp_path):
             (tmp_path / "b" / name).read_bytes()
 
 
+def test_simulate_dynamics_engine_refuses_line_width(tmp_path, capsys):
+    # the propagator has no line width: a broadened spectrum is refused
+    # with a configuration error that names the key, not made sharp
+    assert run("simulate", "-e", "deer-spectrum", "--engine", "dynamics",
+               "--set", "ensemble.gamma_mhz=1.2",
+               "--out", str(tmp_path)) == 2
+    assert "ensemble.gamma_mhz" in capsys.readouterr().err
+    assert not (tmp_path / "spectrum.csv").exists()
+
+
 def test_simulate_dynamics_engine_rabi_starts_at_zero(tmp_path):
     assert run("simulate", "-e", "deer-rabi", "--engine", "dynamics",
                "--set", "sweep.t_min_us=0", "--out", str(tmp_path)) == 0

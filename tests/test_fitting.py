@@ -110,14 +110,24 @@ def test_rabi_determinism(rng):
 
 
 def test_rabi_noiseless_dynamics_fit_does_not_warn(field):
-    # an undamped nutation drives tau to ~1e9 us; its tiny Jacobian
-    # column must not read as an ill-conditioned fit
+    # an undamped nutation stops at its decay rate's bound k = 0; that
+    # bound must not read as an ill-conditioned fit
     f = field.replace(drive_freq_mhz=x_line_frequency(field))
     trace = simulate_rabi(x_member(), f, np.linspace(0.02, 3.0, 121))
     with warnings.catch_warnings():
         warnings.simplefilter("error", FitWarning)
         omega, _ = fit_rabi_frequency(trace)
     assert omega == pytest.approx(field.rabi_mhz, rel=1e-3)
+
+
+def test_rabi_undamped_rate_stops_at_zero(field, starts):
+    # the decay rate of an undamped nutation stops at its bound k = 0 in a
+    # few evaluations, instead of walking a decay time towards infinity
+    f = field.replace(drive_freq_mhz=x_line_frequency(field))
+    trace = simulate_rabi(x_member(), f, np.linspace(0.02, 3.0, 121))
+    _, res = fit_rabi_frequency(trace)
+    assert 0.0 <= res.params["k_per_us"] <= 1e-5
+    assert len(starts) == 1 and res.nfev <= 25
 
 
 def test_rabi_phase_pi_one_start(rng, starts):
@@ -299,7 +309,7 @@ def test_central_absent_x_at_its_bound():
 def test_concentration_central_pair_backfit():
     # noiseless P1 spectrum of the six table rows: with the middle peak
     # fitted as the field's central pair and the passes run to
-    # convergence every line returns 230 ppb; as one line it does not
+    # convergence every line returns 230 ppb
     f = np.arange(900.0, 1190.25, 0.5)
     rows = [(230.0, fr, 1.2, a) for fr, a in p1_line_table(DEFAULT_FIELD)]
     trace = contrast_trace(f, rows)
@@ -310,8 +320,6 @@ def test_concentration_central_pair_backfit():
                                           field=DEFAULT_FIELD)
     np.testing.assert_allclose([r.params["n_ppb"] for r in res], 230.0,
                                rtol=1e-6)
-    single, _ = fit_concentration_spectrum(trace, seeds, fixed)
-    assert abs(single.value_ppb - 230.0) > 0.05
 
 
 def test_central_field_moves_the_lines():
@@ -602,6 +610,20 @@ def _per_line(rng):
     fit_concentration_spectrum(noisy, THREE_CENTERS, make_fixed(THREE_AMPS))
 
 
+def _five_groups(rng):
+    # the middle peak as the field's central pair: the one stage-three
+    # input that puts a two-line group through the Jacobian
+    f = np.arange(900.0, 1190.25, 0.5)
+    rows = [(230.0, fr, 1.2, a) for fr, a in p1_line_table(DEFAULT_FIELD)]
+    trace = contrast_trace(f, rows)
+    noisy = SpectrumTrace(f, trace.y + 0.002 * rng.standard_normal(len(f)))
+    seeds = [fr for _, fr, _, _ in rows]
+    seeds = seeds[:2] + [sum(seeds[2:4]) / 2] + seeds[4:]
+    fit_concentration_spectrum(noisy, seeds,
+                               make_fixed(P1_FIVE_LINE_AMPLITUDES),
+                               field=DEFAULT_FIELD)
+
+
 def _central(rng):
     trace = central_trace(200.0, 13.0)
     noisy = SpectrumTrace(trace.x, trace.y + 0.002 * rng.standard_normal(
@@ -637,8 +659,9 @@ def _saturation(rng):
     fit_saturation(SpectrumTrace(p, y))
 
 
-@pytest.mark.parametrize("run", [_dips, _rabi, _per_line, _central, _decay,
-                                 _hahn, _eseem, _saturation],
+@pytest.mark.parametrize("run", [_dips, _rabi, _per_line, _five_groups,
+                                 _central, _decay, _hahn, _eseem,
+                                 _saturation],
                          ids=lambda f: f.__name__.strip("_"))
 def test_analytic_jacobian_matches_three_point(run, fit_models, rng):
     run(rng)
