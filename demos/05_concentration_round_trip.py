@@ -84,5 +84,5 @@ print(f"stage 4 two-species central fit: X = {fit.x.value_ppb:.1f} "
       f"({100 * abs(fit.x.value_ppb / N_X - 1):.1f}% off truth)")
 
 # what the method could still see under these settings
-lim = detection_limit_ppb(0.05, 100.0, sigma_b=0.5, line_amp=1.0 / 3.0)
+lim = detection_limit_ppb(0.05, 100.0, line_amp=1.0 / 3.0)
 print(f"\ndetection limit at 5% contrast and T_B = 100 us: {lim:.1f} ppb")

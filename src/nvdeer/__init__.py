@@ -29,10 +29,10 @@ from .hamiltonians import (NVParams, P1Params, SpinSystem, XParams,
                            static_hamiltonian, transition_frequency,
                            x_line_frequency, x_member)
 from .trace import SpectrumTrace
-from .deer import (LorentzianPeak, LorentzianPeakSet, NormalizedSignal,
+from .deer import (LorentzianPeak, LorentzianPeakSet,
                    P1_FIVE_LINE_AMPLITUDES, deer_signal_from_transfer,
-                   detection_limit_ppb, lorentzian, normalize_signal,
-                   population_transfer, rabi_probability)
+                   detection_limit_ppb, lorentzian, population_transfer,
+                   rabi_probability)
 from .dynamics import (SinusoidalDrive, compute_sigma, ensemble_transfer,
                        propagate_unitary, simulate_rabi, transition_spectrum)
 from .photophysics import (PulseTrain, RateModelParams, base_rate_matrix,

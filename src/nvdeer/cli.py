@@ -30,9 +30,10 @@ from .fitting import (diffusion_coefficient, epr_concentration,
                       epr_double_integral, fit_deer_decay, fit_deer_spectrum,
                       fit_eseem, fit_hahn_decay, fit_rabi_frequency,
                       fit_saturation)
-from .hamiltonians import (apply_orientation, nv_line_table,
-                           nv_offaxis_member, nv_onaxis_member, p1_ensemble,
-                           p1_group_table, p1_line_table, static_hamiltonian,
+from .hamiltonians import (allowed_transitions, apply_orientation,
+                           nv_line_table, nv_offaxis_member,
+                           nv_onaxis_member, p1_ensemble, p1_group_table,
+                           p1_line_table, static_hamiltonian,
                            x_line_frequency, x_member)
 from .photophysics import (PulseTrain, RateModelParams, evolve_populations,
                            ground_populations, steady_state_populations)
@@ -90,11 +91,8 @@ _SCHEMA = {
         "p_max_mw": (2.0, float, _positive),
     },
     "fit": {
-        "n_peaks": (5, int, _positive),
         "rabi_mhz": (0.0, float, _non_negative),
-        "two_species": (True, bool, _any),
         "p_b": (0.0, float, _fraction),
-        "f_init_mhz": ("", str, _any),
     },
     "decay": {
         "t2_us": (100.0, float, _positive),
@@ -187,15 +185,6 @@ class RunConfig:
 def _coerce(sect, key, value):
     default, conv, validator = _SCHEMA[sect][key]
     try:
-        if conv is bool and isinstance(value, str):
-            if value.lower() in ("true", "1", "yes"):
-                value = True
-            elif value.lower() in ("false", "0", "no"):
-                value = False
-            else:
-                raise ValueError(value)
-        if conv is bool and value not in (0, 1):
-            raise ValueError(value)
         if conv is int and isinstance(value, float) and not value.is_integer():
             raise ValueError(value)
         coerced = conv(value)
@@ -305,8 +294,11 @@ class _Sim:
     series: tuple = ()
 
 
-def _spectrum_transfer(cfg, field, fgrid):
-    """Per-species pump flip probabilities over the frequency grid."""
+def _spectrum_transfer(cfg, field, fgrid, f_x, f_nv):
+    """Per-species pump flip probabilities over the frequency grid, with
+    the X line at f_x and the off-axis NV 2<->3 line at f_nv (lists,
+    empty where the line is not drive-allowed).  The NV's is None at
+    zero NV density, where its contrast factor is 1."""
     gamma = cfg["ensemble.gamma_mhz"]
     omega = field.rabi_mhz
     t_b = cfg["timing.t_b_us"]
@@ -327,12 +319,11 @@ def _spectrum_transfer(cfg, field, fgrid):
             [LorentzianPeak(f, gamma, a) for f, a in rows],
             omega, fgrid, t_b)
         pt_x = population_transfer(
-            [LorentzianPeak(x_line_frequency(field), gamma, 1.0)],
-            omega, fgrid, t_b)
-    nv_rows = [r for r in nv_line_table(field)
-               if r[4] != "[111]" and (r[2], r[3]) == (2, 3)]
-    pt_nv = population_transfer(
-        [LorentzianPeak(nv_rows[0][0], gamma, 1.0)], omega, fgrid, t_b)
+            [LorentzianPeak(f, gamma, 1.0) for f in f_x], omega, fgrid, t_b)
+    pt_nv = None
+    if cfg["ensemble.n_nv_ppb"] > 0:
+        pt_nv = population_transfer(
+            [LorentzianPeak(f, gamma, 1.0) for f in f_nv], omega, fgrid, t_b)
     return pt_p1, pt_x, pt_nv
 
 
@@ -351,23 +342,36 @@ def _simulate_deer_spectrum(cfg):
     field = cfg.field_config()
     fgrid = cfg.f_grid()
     t_a = cfg["timing.t_a_us"]
-    pt_p1, pt_x, pt_nv = _spectrum_transfer(cfg, field, fgrid)
+    centers, amps = p1_group_table(field)
+    f_x = [f for f, _, _, _ in allowed_transitions(x_member(), field)[:1]]
+    nv_table = nv_line_table(field)
+    f_nv = [f for f, _, a, b, label in nv_table
+            if label != "[111]" and (a, b) == (2, 3)][:1]
+    for key, lines in (("ensemble.n_p1_ppb", centers),
+                       ("ensemble.n_x_ppb", f_x),
+                       ("ensemble.n_nv_ppb", f_nv)):
+        if cfg[key] > 0 and len(lines) == 0:
+            raise ConfigError(
+                f"{key}: this species has no drive-allowed line at "
+                f"b0 = {cfg['field.b0_mt']} mT, tilt "
+                f"{cfg['field.tilt_deg']} deg (got {cfg[key]!r})")
+    pt_p1, pt_x, pt_nv = _spectrum_transfer(cfg, field, fgrid, f_x, f_nv)
     member = nv_offaxis_member()
-    sigma_nv = compute_sigma(static_hamiltonian(member, field), 2, 3)
     y = deer_signal_from_transfer(
         [pt_p1, pt_x], [cfg["ensemble.n_p1_ppb"], cfg["ensemble.n_x_ppb"]],
         t_a)
-    # sensor-sensor contribution: 3/4 of the NVs sit on off-axis lines
-    y = y * deer_signal_from_transfer(0.75 * pt_nv, cfg["ensemble.n_nv_ppb"],
-                                      t_a, sigma_nv)
+    if pt_nv is not None:
+        # sensor-sensor contribution: 3/4 of the NVs sit on off-axis lines
+        sigma_nv = compute_sigma(static_hamiltonian(member, field), 2, 3)
+        y = y * deer_signal_from_transfer(
+            0.75 * pt_nv, cfg["ensemble.n_nv_ppb"], t_a, sigma_nv)
 
-    centers, amps = p1_group_table(field)
     lines_p1 = {f"group_{i + 1}_mhz": float(fc)
                 for i, fc in enumerate(centers)}
     lines_p1.update({f"group_{i + 1}_amp": float(aa)
                      for i, aa in enumerate(amps)})
     nv_lines = {}
-    for f, el, a, b, label in nv_line_table(field):
+    for f, el, a, b, label in nv_table:
         tag = "onaxis" if label == "[111]" else "offaxis"
         nv_lines[f"{tag}_{a}{b}_mhz"] = float(f)
     sigmas = {f"{m}axis_{a}{b}": float(s)
@@ -379,7 +383,7 @@ def _simulate_deer_spectrum(cfg):
     n123 = ground_populations(pops7)
     return _Sim(
         {"lines.p1": lines_p1,
-         "lines.x": {"f_mhz": float(x_line_frequency(field))},
+         "lines.x": {"f_mhz": float(f_x[0])} if f_x else {},
          "lines.nv": nv_lines,
          "sigma": sigmas,
          "populations.offaxis": {
@@ -579,18 +583,6 @@ def _fit_deer_spectrum(cfg, args, trace):
     """The staged spectrum fit (fitting.fit_deer_spectrum).  Writes
     peaks.ini, rabi.ini (with --rabi-data) and concentrations.ini;
     returns the report sections."""
-    # fit.f_init_mhz pins stage one's starting centers when the automatic
-    # dip finder is not trustworthy, e.g. overlapped species
-    init = None
-    if cfg["fit.f_init_mhz"]:
-        try:
-            init = [float(v) for v in cfg["fit.f_init_mhz"].split(",")]
-        except ValueError:
-            raise ConfigError("fit.f_init_mhz: expected comma-separated "
-                              "frequencies") from None
-        if len(init) != cfg["fit.n_peaks"]:
-            raise ConfigError("fit.f_init_mhz: need one frequency per peak")
-
     # stage 2: pump Rabi frequency
     if args.rabi_data:
         rabi_trace = _read_trace(args.rabi_data, "t_us", "p_flip",
@@ -607,21 +599,17 @@ def _fit_deer_spectrum(cfg, args, trace):
             "or set fit.rabi_mhz in the config")
 
     fit = fit_deer_spectrum(trace, omega, cfg["timing.t_b_us"],
-                            cfg["timing.t_a_us"], field=cfg.field_config(),
-                            n_peaks=cfg["fit.n_peaks"], init=init,
-                            two_species=cfg["fit.two_species"])
+                            cfg["timing.t_a_us"], field=cfg.field_config())
     peaks = _fit_result_section(fit.peak_fit)
     _write_ini(cfg, "peaks.ini", {"peaks": peaks})
     sections = {"stage1.peaks": peaks, "stage2.rabi": rabi,
-                "estimate.p1": _estimate_section(fit.p1)}
+                "estimate.p1": _estimate_section(fit.p1),
+                "estimate.x": _estimate_section(fit.x)}
     conc_sections = {"estimate.p1": sections["estimate.p1"]}
     for i, r in enumerate(fit.line_fits):
         conc_sections[f"stage3.peak_{i + 1}"] = _fit_result_section(r)
-    if fit.x is not None:
-        sections["estimate.x"] = _estimate_section(fit.x)
-        conc_sections["estimate.x"] = sections["estimate.x"]
-        conc_sections["stage3.central"] = _fit_result_section(
-            fit.central_fit)
+    conc_sections["estimate.x"] = sections["estimate.x"]
+    conc_sections["stage3.central"] = _fit_result_section(fit.central_fit)
     _write_ini(cfg, "concentrations.ini", conc_sections)
     return sections
 

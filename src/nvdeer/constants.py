@@ -50,7 +50,7 @@ def per_m3_to_ppb(n_per_m3):
     return np.asarray(n_per_m3, dtype=float) / (1e-9 * DIAMOND_ATOMS_PER_M3)
 
 
-def dipolar_rate_constant(g_a=G_ELECTRON, g_b=G_ELECTRON, sigma_b=0.5):
+def dipolar_rate_constant(sigma_b=0.5):
     """Prefactor C of the dipolar echo-decay exponent, in m^3/s.
 
     The DEER echo amplitude decays as exp(-C * n_B * T_B * P_B) with n_B the
@@ -60,11 +60,12 @@ def dipolar_rate_constant(g_a=G_ELECTRON, g_b=G_ELECTRON, sigma_b=0.5):
 
         C = 4 pi mu0 mu_B^2 g_A g_B |sigma_B| / (9 sqrt(3) hbar)
 
-    where sigma_b is half the difference of the projection quantum numbers
-    of the two levels the pump pulse drives.
+    with both g factors G_ELECTRON, and sigma_b half the difference of
+    the projection quantum numbers of the two levels the pump pulse
+    drives.
     """
     if sigma_b < 0:
         raise ValueError("sigma_b must be non-negative (magnitude of the "
                          "projection difference over two)")
-    return (4 * np.pi * MU_0 * MU_B**2 * g_a * g_b * abs(sigma_b)
-            / (9 * np.sqrt(3) * HBAR))
+    return (4 * np.pi * MU_0 * MU_B**2 * G_ELECTRON * G_ELECTRON
+            * abs(sigma_b) / (9 * np.sqrt(3) * HBAR))

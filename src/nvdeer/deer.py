@@ -3,12 +3,13 @@
 The normalized DEER contrast of the sensor echo, with the pump pulse at
 frequency f_B applied to a dilute bath species B, is
 
-    I(f_B) = exp(-C(g_A, g_B, sigma_B) * n_B * T_B * P_B(f_B))
+    I(f_B) = exp(-C(sigma_B) * n_B * T_B * P_B(f_B))
 
-where C is the angular-averaged dipolar rate constant (constants module),
-n_B the species density, T_B the dipolar evolution time and P_B the pump
-flip probability.  P_B follows from the species' EPR lineshape, a sum of
-unit-area Lorentzians, convolved with the finite-pulse Rabi kernel
+where C is the angular-averaged dipolar rate constant of two electron
+spins at g = G_ELECTRON (constants module), n_B the species density,
+T_B the dipolar evolution time and P_B the pump flip probability.  P_B
+follows from the species' EPR lineshape, a sum of unit-area
+Lorentzians, convolved with the finite-pulse Rabi kernel
 
     P_R(Omega, Delta, t_b) = Omega^2/(Omega^2 + Delta^2)
                              * sin^2(pi sqrt(Omega^2 + Delta^2) t_b).
@@ -39,8 +40,6 @@ __all__ = [
     "deer_signal_from_transfer",
     "contrast_rate_per_ppb",
     "detection_limit_ppb",
-    "NormalizedSignal",
-    "normalize_signal",
     "P1_FIVE_LINE_AMPLITUDES",
 ]
 
@@ -296,19 +295,18 @@ def line_transfer_gradient(peaks, omega_mhz, f_b_mhz, t_b_us):
     return np.clip(prob, 0.0, 1.0), d_s, d_gamma
 
 
-def deer_signal_from_transfer(p_b, n_b_ppb, t_b_delay_us, sigma_b=0.5,
-                              g_a=c.G_ELECTRON, g_b=c.G_ELECTRON):
+def deer_signal_from_transfer(p_b, n_b_ppb, t_b_delay_us, sigma_b=0.5):
     """Echo contrast exp(-C T_B sum_i n_i P_i) from flip probabilities.
 
     p_b and n_b_ppb are one species' flip probability and concentration,
     or equal-length sequences of them for several species that share
-    sigma_b and the g factors.  t_b_delay_us may be an array (a decay
-    versus delay).  This is the one place the contrast law is written
+    sigma_b.  t_b_delay_us may be an array (a decay versus delay).  This
+    is the one place the contrast law is written
     out: the analytic route (P_B from population_transfer), the simulated
     route (P_B from time propagation) and the fit models all use it;
     detection_limit_ppb is its inverse.
     """
-    rate_t = _rate_t(t_b_delay_us, sigma_b, g_a, g_b)
+    rate_t = _rate_t(t_b_delay_us, sigma_b)
     # the grouping sets the last bits, which fits amplify: (C T n) P for
     # one species, C T sum(n P) for several
     if np.ndim(n_b_ppb) == 0:
@@ -317,26 +315,24 @@ def deer_signal_from_transfer(p_b, n_b_ppb, t_b_delay_us, sigma_b=0.5,
                                 for n, p in zip(n_b_ppb, p_b)))
 
 
-def _rate_t(t_b_delay_us, sigma_b, g_a, g_b):
+def _rate_t(t_b_delay_us, sigma_b):
     """C T_B in m^3: the exponent per spin density."""
-    return (c.dipolar_rate_constant(g_a, g_b, sigma_b)       # m^3/s
+    return (c.dipolar_rate_constant(sigma_b)                 # m^3/s
             * np.asarray(t_b_delay_us, dtype=float) * c.US_TO_S)
 
 
-def contrast_rate_per_ppb(t_b_delay_us, sigma_b=0.5, g_a=c.G_ELECTRON,
-                          g_b=c.G_ELECTRON):
-    """C T_B per ppb, so that deer_signal_from_transfer is
-    I = exp(-rate sum_i n_i P_i) and dI/dn_i = -rate P_i I."""
-    return _rate_t(t_b_delay_us, sigma_b, g_a, g_b) * c.ppb_to_per_m3(1.0)
+def contrast_rate_per_ppb(t_b_delay_us):
+    """C T_B per ppb at sigma_B = 1/2, so that deer_signal_from_transfer
+    is I = exp(-rate sum_i n_i P_i) and dI/dn_i = -rate P_i I."""
+    return _rate_t(t_b_delay_us, 0.5) * c.ppb_to_per_m3(1.0)
 
 
-def detection_limit_ppb(min_contrast, t_b_delay_us, sigma_b=0.5,
-                        line_amp=1.0 / 3.0, g_a=c.G_ELECTRON,
-                        g_b=c.G_ELECTRON):
+def detection_limit_ppb(min_contrast, t_b_delay_us, line_amp=1.0 / 3.0):
     """Smallest detectable concentration for a given contrast floor.
 
-    Solves 1 - exp(-C n T_B P) = min_contrast for n with the pump flipping
-    the addressed line completely (P = line_amp, the area fraction of that
+    Solves 1 - exp(-C n T_B P) = min_contrast for n, with C at
+    sigma_B = 1/2 (an S = 1/2 bath spin) and the pump flipping the
+    addressed line completely (P = line_amp, the area fraction of that
     line; a pi pulse on the central line of the five-line nitrogen pattern
     has line_amp = 1/3).  Returns ppb.  This inverts
     deer_signal_from_transfer for one species, so any flip probability in
@@ -348,64 +344,8 @@ def detection_limit_ppb(min_contrast, t_b_delay_us, sigma_b=0.5,
         raise ValueError("t_b_delay_us must be > 0")
     if not 0 < line_amp <= 1:
         raise ValueError("line_amp must be in (0, 1]")
-    rate = c.dipolar_rate_constant(g_a, g_b, sigma_b)
+    rate = c.dipolar_rate_constant()
     n_per_m3 = -np.log(1.0 - min_contrast) / (
         rate * t_b_delay_us * c.US_TO_S * line_amp)
     return float(c.per_m3_to_ppb(n_per_m3))
 
-
-@dataclass(frozen=True)
-class NormalizedSignal:
-    """Common-mode-rejected echo readout.
-
-    i_nv is the two-phase difference signal, i_nv_off its off-resonance
-    (pump far detuned) baseline and i_deer = i_nv / i_nv_off the
-    normalized DEER contrast with laser and charge-state drifts removed.
-    """
-
-    i_nv: np.ndarray
-    i_nv_off: float
-    i_deer: np.ndarray
-
-
-def normalize_signal(pl_sig_plus, pl_ref_plus, pl_sig_minus, pl_ref_minus,
-                     pl_sig_plus_off=None, pl_ref_plus_off=None,
-                     pl_sig_minus_off=None, pl_ref_minus_off=None,
-                     i_nv_off=None):
-    """Photon counts -> normalized DEER contrast.
-
-    Each echo shot is read out twice: a signal window (sig) and a
-    reference window (ref) later in the same laser pulse, for the final
-    pi/2 projection phase +x and -x.  The phase-alternated, reference-
-    normalized signal is
-
-        I_NV = (sig+ / ref+ - sig- / ref-) / 2
-
-    and the DEER contrast is I_NV divided by the same quantity with the
-    pump far off resonance (given either as raw counts or directly as
-    i_nv_off).
-
-    Counts may be scalars or arrays (e.g. one entry per pump frequency).
-    """
-    i_nv = _phase_alternated(pl_sig_plus, pl_ref_plus, pl_sig_minus,
-                             pl_ref_minus)
-    if i_nv_off is None:
-        if pl_sig_plus_off is None:
-            raise ValueError("provide i_nv_off or the off-resonance counts")
-        i_nv_off = np.mean(_phase_alternated(
-            pl_sig_plus_off, pl_ref_plus_off, pl_sig_minus_off,
-            pl_ref_minus_off))
-    i_nv_off = float(i_nv_off)
-    if i_nv_off == 0:
-        raise ValueError("i_nv_off must be non-zero")
-    return NormalizedSignal(i_nv=i_nv, i_nv_off=i_nv_off,
-                            i_deer=i_nv / i_nv_off)
-
-
-def _phase_alternated(sig_plus, ref_plus, sig_minus, ref_minus):
-    """I_NV = (sig+ / ref+ - sig- / ref-) / 2 from raw counts."""
-    sp, rp, sm, rm = (np.asarray(v, dtype=float)
-                      for v in (sig_plus, ref_plus, sig_minus, ref_minus))
-    if np.any(rp <= 0) or np.any(rm <= 0):
-        raise ValueError("reference counts must be positive")
-    return 0.5 * (sp / rp - sm / rm)

@@ -13,6 +13,8 @@ protocol: Lorentzian peak positions first, Rabi frequency second, then
 per-peak echo-contrast fits with everything but (f_r, Gamma, n_b)
 frozen, and a central fit of the P1 pair and the X line, both placed by
 the field; stages three and four share one line model (_fit_lines).
+Every concentration fit uses the contrast law of an S = 1/2 bath spin,
+C at g = G_ELECTRON and sigma_B = 1/2 (deer.contrast_rate_per_ppb).
 fit_deer_spectrum runs stages one, three and four for the CLI, the
 selftest and the demos.
 """
@@ -251,7 +253,7 @@ def _prominent_minima(y, prominence, distance):
     return idx[deep], prominences[deep]
 
 
-def fit_lorentzian_peaks(trace, n_peaks, init=None, seed=0):
+def fit_lorentzian_peaks(trace, n_peaks, seed=0):
     """Fit a spectrum with a baseline minus n_peaks Lorentzian dips.
 
     Model: y = c0 - sum_i d_i * g_i^2 / (g_i^2 + (x - f_i)^2), i.e. each
@@ -263,8 +265,7 @@ def fit_lorentzian_peaks(trace, n_peaks, init=None, seed=0):
     ----------
     trace : SpectrumTrace
     n_peaks : int
-    init : optional sequence of seed center frequencies (MHz); found from
-        local minima when absent.
+        number of dips, seeded at the most prominent local minima.
     seed : accepted and unused; the fit makes one start.
 
     Returns
@@ -278,12 +279,7 @@ def fit_lorentzian_peaks(trace, n_peaks, init=None, seed=0):
     if len(x) < 4 * n_peaks:
         raise ValueError(f"need at least {4 * n_peaks} points for "
                          f"{n_peaks} peaks")
-    if init is not None:
-        centers = np.sort(np.asarray(init, dtype=float))
-        if len(centers) != n_peaks:
-            raise ValueError("init must supply one seed per peak")
-    else:
-        centers = _find_dips(x, y, n_peaks)
+    centers = _find_dips(x, y, n_peaks)
 
     span = x[-1] - x[0]
     g0 = max(span / (20.0 * n_peaks), 2.0 * np.median(np.diff(x)))
@@ -408,9 +404,6 @@ class DeerFixedParams:
     t_b_us: float
     t_b_delay_us: float
     amps: tuple
-    sigma_b: float = 0.5
-    g_a: float = c.G_ELECTRON
-    g_b: float = c.G_ELECTRON
 
     def __post_init__(self):
         if self.omega_mhz <= 0 or self.t_b_us <= 0 or self.t_b_delay_us <= 0:
@@ -436,13 +429,11 @@ class DeerFixedParams:
     def contrast(self, p_b, n_ppb):
         """Echo contrast of one species, or of sequences of several
         (deer_signal_from_transfer)."""
-        return deer_signal_from_transfer(p_b, n_ppb, self.t_b_delay_us,
-                                         self.sigma_b, self.g_a, self.g_b)
+        return deer_signal_from_transfer(p_b, n_ppb, self.t_b_delay_us)
 
     def rate_per_ppb(self):
         """C T_B per ppb: d contrast / d n_i = -rate P_i contrast."""
-        return contrast_rate_per_ppb(self.t_b_delay_us, self.sigma_b,
-                                     self.g_a, self.g_b)
+        return contrast_rate_per_ppb(self.t_b_delay_us)
 
 
 def _peaks(f_r, gamma, amp):
@@ -575,7 +566,7 @@ def fit_concentration_spectrum(trace, seeds, fixed, exclude_central=True,
                                    [a for _, a in group], 0.0)
             n0 = detection_limit_ppb(
                 np.clip(1.0 - sub.y.min(), 1e-4, 0.999), fixed.t_b_delay_us,
-                fixed.sigma_b, max(p_res, 1e-6), fixed.g_a, fixed.g_b)
+                max(p_res, 1e-6))
         return _fit_lines(sub, fixed, [(None, group)], f_c, g_c, n0,
                           background)[0]
 
@@ -687,48 +678,41 @@ class SpectrumFit:
     peak_fit: FitResult
     p1: ConcentrationEstimate
     line_fits: list
-    x: ConcentrationEstimate = None
-    central_fit: FitResult = None
+    x: ConcentrationEstimate
+    central_fit: FitResult
 
 
-def fit_deer_spectrum(trace, omega_mhz, t_b_us, t_b_delay_us, field=None,
-                      n_peaks=5, init=None, two_species=True):
+def fit_deer_spectrum(trace, omega_mhz, t_b_us, t_b_delay_us, field=None):
     """Stages one, three and four of the spectrum fit, given stage two's
-    pump Rabi frequency: n_peaks dips (fit_lorentzian_peaks, seeded at
-    `init`), their densities at P1_FIVE_LINE_AMPLITUDES, or equal areas
-    for another count (fit_concentration_spectrum), and with five peaks
-    and two_species the X line in the window from 16 MHz below to 12 MHz
-    above the middle dip, the outer lines as background
-    (fit_central_line_two_species).  field=None is DEFAULT_FIELD.
-    Returns a SpectrumFit, whose x and central_fit stay None without
-    stage four.
+    pump Rabi frequency: five dips (fit_lorentzian_peaks), their P1
+    densities at P1_FIVE_LINE_AMPLITUDES (fit_concentration_spectrum),
+    and the X line in the window from 16 MHz below to 12 MHz above the
+    middle dip, the outer lines as background
+    (fit_central_line_two_species); on X-free data the X estimate is an
+    upper bound.  field=None is DEFAULT_FIELD.  Returns a SpectrumFit.
     """
-    peaks, peak_fit = fit_lorentzian_peaks(trace, n_peaks, init=init)
-    amps = (P1_FIVE_LINE_AMPLITUDES if n_peaks == 5
-            else tuple([1.0 / n_peaks] * n_peaks))
+    peaks, peak_fit = fit_lorentzian_peaks(trace, 5)
     fixed = DeerFixedParams(omega_mhz=omega_mhz, t_b_us=t_b_us,
-                            t_b_delay_us=t_b_delay_us, amps=amps)
+                            t_b_delay_us=t_b_delay_us,
+                            amps=P1_FIVE_LINE_AMPLITUDES)
     p1, line_fits = fit_concentration_spectrum(trace, peaks, fixed,
                                                field=field)
-    out = SpectrumFit(peaks, peak_fit, p1, line_fits)
-    if two_species and n_peaks == 5:
-        ctr = sorted(p.f_r_mhz for p in peaks)[2]
-        background = [(r.params["n_ppb"], r.params["f_r"],
-                       r.params["gamma"], a)
-                      for i, (r, a) in enumerate(zip(line_fits, amps))
-                      if i != 2]
-        out.x, out.central_fit = fit_central_line_two_species(
-            trace.window(ctr - 16.0, ctr + 12.0), p1.value_ppb, fixed,
-            field=field, background=background)
-    return out
+    ctr = sorted(p.f_r_mhz for p in peaks)[2]
+    background = [(r.params["n_ppb"], r.params["f_r"], r.params["gamma"], a)
+                  for i, (r, a) in enumerate(zip(line_fits, fixed.amps))
+                  if i != 2]
+    x, central_fit = fit_central_line_two_species(
+        trace.window(ctr - 16.0, ctr + 12.0), p1.value_ppb, fixed,
+        field=field, background=background)
+    return SpectrumFit(peaks, peak_fit, p1, line_fits, x, central_fit)
 
 
-def fit_deer_decay(trace, p_b, sigma_b=0.5, g_a=c.G_ELECTRON,
-                   g_b=c.G_ELECTRON):
+def fit_deer_decay(trace, p_b):
     """Concentration from an echo-contrast decay versus delay time.
 
     Model: I(T_B) = exp(-C n P_B T_B) with P_B fixed (the pump flip
-    probability at the chosen line).  Needs >= 8 delay points.
+    probability at the chosen line) and C at sigma_B = 1/2.  Needs >= 8
+    delay points.
     """
     if not 0 <= p_b <= 1:
         raise ValueError("p_b must be in [0, 1]")
@@ -748,8 +732,8 @@ def fit_deer_decay(trace, p_b, sigma_b=0.5, g_a=c.G_ELECTRON,
                       FitWarning)
 
     def model(tv, p):
-        out = deer_signal_from_transfer(p_b, p[0], tv, sigma_b, g_a, g_b)
-        rate = contrast_rate_per_ppb(tv, sigma_b, g_a, g_b)
+        out = deer_signal_from_transfer(p_b, p[0], tv)
+        rate = contrast_rate_per_ppb(tv)
         return out, (-rate * p_b * out)[:, None]
 
     # seed: the log-slope is the contrast lost per us; a flat or rising
@@ -757,7 +741,7 @@ def fit_deer_decay(trace, p_b, sigma_b=0.5, g_a=c.G_ELECTRON,
     slope0 = -np.polyfit(trace.x, np.log(trace.y), 1)[0]
     n0 = max(detection_limit_ppb(np.clip(-np.expm1(-slope0), 1e-12,
                                          1.0 - 1e-12),
-                                 1.0, sigma_b, p_b, g_a, g_b), 1.0)
+                                 1.0, p_b), 1.0)
     res = _run_fit(model, trace.x, trace.y, _weights(trace), [n0],
                    ["n_ppb"], lower=[0.0], upper=[1e6],
                    x_scale=[max(n0, 1.0)])

@@ -292,9 +292,12 @@ def p1_group_table(field):
 
     The two central lines sit closer than the pulse bandwidth and merge
     into one group at their area-weighted mean frequency, carrying their
-    summed area.  Returns (centers, amps) arrays sorted by frequency.
+    summed area.  Returns (centers, amps) arrays sorted by frequency,
+    empty when no P1 line is drive-allowed.
     """
     rows = p1_line_table(field)
+    if not rows:
+        return np.empty(0), np.empty(0)
     f = np.array([r[0] for r in rows])
     a = np.array([r[1] for r in rows])
     i_mid = np.argsort(np.abs(f - np.median(f)))[:2]

@@ -95,7 +95,7 @@ def check_photophysics():
 def check_detection_limit():
     """Smallest concentration with 5% contrast at T_B = 100 us."""
     t0 = time.time()
-    n = detection_limit_ppb(0.05, 100.0, sigma_b=0.5, line_amp=1.0 / 3.0)
+    n = detection_limit_ppb(0.05, 100.0, line_amp=1.0 / 3.0)
     return _result("detection limit", abs(n / 5.0 - 1.0) <= 0.10,
                    f"{n:.2f} ppb", "5 ppb +/- 10%", t0, n_ppb=n)
 

@@ -141,35 +141,29 @@ def test_bad_config_file_exit_2(tmp_path):
     fractional.write_text(json.dumps({"sweep": {"n_points": 12.7}}))
     assert run("simulate", "-e", "hahn", "--config", str(fractional),
                "--out", str(tmp_path)) == 2
-    # a bool key takes true/false or 0/1, not any number
-    for number in (0.5, 2):
-        not_bool = tmp_path / "not_bool.json"
-        not_bool.write_text(json.dumps({"experiment": "hahn",
-                                        "fit": {"two_species": number}}))
-        assert run("simulate", "--config", str(not_bool),
-                   "--out", str(tmp_path)) == 2
     assert not (tmp_path / "hahn.csv").exists()
 
 
-def test_config_rejects_x_offset_mhz(tmp_path):
-    # the X line sits where the field puts it; there is no offset key
+def _assert_fit_key_rejected(tmp_path, key, value):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"fit": {"x_offset_mhz": -7.0}}))
+    path.write_text(json.dumps({"fit": {key: value}}))
     with pytest.raises(ConfigError):
         load_config("deer-spectrum", str(path))
     assert run("fit", "-e", "deer-spectrum", "--config", str(path),
                "--out", str(tmp_path / "fit")) == 2
 
 
-@pytest.mark.parametrize("value,expected", [
-    (True, True), (False, False), (0, False), (1, True), ("true", True),
-    ("false", False), ("1", True), ("0", False), ("yes", True),
-    ("no", False)])
-def test_bool_config_values(tmp_path, value, expected):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"fit": {"two_species": value}}))
-    cfg = load_config("hahn", str(path))
-    assert cfg["fit.two_species"] is expected
+def test_config_rejects_x_offset_mhz(tmp_path):
+    # the X line sits where the field puts it; there is no offset key
+    _assert_fit_key_rejected(tmp_path, "x_offset_mhz", -7.0)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("n_peaks", 5), ("two_species", True), ("f_init_mhz", "1042.5")])
+def test_config_rejects_removed_fit_keys(tmp_path, key, value):
+    # the spectrum fit always fits five dips and the central P1/X group,
+    # seeded from the data; none of these is a config key
+    _assert_fit_key_rejected(tmp_path, key, value)
 
 
 def test_missing_experiment_exit_2(tmp_path):
@@ -411,6 +405,32 @@ def test_simulate_dynamics_engine_refuses_line_width(tmp_path, capsys):
                "--set", "ensemble.gamma_mhz=1.2",
                "--out", str(tmp_path)) == 2
     assert "ensemble.gamma_mhz" in capsys.readouterr().err
+    assert not (tmp_path / "spectrum.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("--b0-mt", "5"),
+    ("--set", "field.tilt_deg=90", "--set", "ensemble.n_p1_ppb=0")])
+def test_simulate_spectrum_zero_density_needs_no_line(tmp_path, argv):
+    # below ~10 mT the off-axis NV 2<->3 line is not drive-allowed, and
+    # with the field along the drive no line is; a species of zero
+    # density needs none
+    assert run("simulate", "-e", "deer-spectrum", *argv,
+               "--out", str(tmp_path)) == 0
+    assert (tmp_path / "spectrum.csv").exists()
+
+
+@pytest.mark.parametrize("argv,key", [
+    (("--b0-mt", "5", "--set", "ensemble.n_nv_ppb=10"),
+     "ensemble.n_nv_ppb"),
+    (("--set", "field.tilt_deg=90"), "ensemble.n_p1_ppb")])
+def test_simulate_spectrum_species_without_line_exit_2(tmp_path, capsys,
+                                                       argv, key):
+    # a species with a density but no drive-allowed line at the field is
+    # a configuration error that names its density key
+    assert run("simulate", "-e", "deer-spectrum", *argv,
+               "--out", str(tmp_path)) == 2
+    assert key in capsys.readouterr().err
     assert not (tmp_path / "spectrum.csv").exists()
 
 

@@ -30,8 +30,7 @@ def make_fixed(amps):
 def contrast_trace(f_grid, rows, transfer=population_transfer):
     """exp(-C T_B sum_i n_i P_i(f)) for rows of (n_ppb, f_r, gamma, amp),
     with P from `transfer` (population_transfer or the quad reference)."""
-    rate_tb = c.dipolar_rate_constant(c.G_ELECTRON, c.G_ELECTRON,
-                                      0.5) * T_B_DELAY * c.US_TO_S
+    rate_tb = c.dipolar_rate_constant(0.5) * T_B_DELAY * c.US_TO_S
     expo = np.zeros_like(f_grid)
     for n_ppb, f_r, g_r, amp in rows:
         p = transfer([LorentzianPeak(f_r, g_r, amp)], OMEGA, f_grid, T_B)
@@ -338,7 +337,7 @@ def test_central_field_moves_the_lines():
 # ------------------------------------------------------------ DEER decay
 
 def decay_trace(n_ppb, p_b, t, noise=0.0, rng=None):
-    rate = c.dipolar_rate_constant(c.G_ELECTRON, c.G_ELECTRON, 0.5)
+    rate = c.dipolar_rate_constant(0.5)
     y = np.exp(-rate * c.ppb_to_per_m3(n_ppb) * p_b * t * c.US_TO_S)
     err = None
     if noise > 0:
