@@ -33,8 +33,7 @@ from .fitting import (diffusion_coefficient, epr_concentration,
 from .hamiltonians import (allowed_transitions, apply_orientation,
                            nv_line_table, nv_offaxis_member,
                            nv_onaxis_member, p1_ensemble, p1_group_table,
-                           p1_line_table, static_hamiltonian,
-                           x_line_frequency, x_member)
+                           p1_line_table, static_hamiltonian, x_member)
 from .photophysics import (PulseTrain, RateModelParams, evolve_populations,
                            ground_populations, steady_state_populations)
 from .spincore import FieldConfiguration
@@ -327,6 +326,13 @@ def _spectrum_transfer(cfg, field, fgrid, f_x, f_nv):
     return pt_p1, pt_x, pt_nv
 
 
+def _field_error(cfg, what):
+    """ConfigError for a field at which `what` has no drive-allowed line."""
+    return ConfigError(
+        f"field.b0_mt, field.tilt_deg: {what} has no drive-allowed line at "
+        f"b0 = {cfg['field.b0_mt']} mT, tilt {cfg['field.tilt_deg']} deg")
+
+
 def _nv_sigma_table(field):
     rows = []
     for member in ("on", "off"):
@@ -399,9 +405,13 @@ def _simulate_deer_rabi(cfg):
     t = cfg.t_grid()
     if cfg["run.engine"] == "dynamics":
         member = x_member()
-        carrier = x_line_frequency(field)
-        trace = simulate_rabi(member, field.replace(drive_freq_mhz=carrier),
-                              t)
+        # the carrier is the X line (x_line_frequency), which a field
+        # along the drive leaves without a drive-allowed transition
+        lines = allowed_transitions(member, field)
+        if not lines:
+            raise _field_error(cfg, "the X species")
+        trace = simulate_rabi(
+            member, field.replace(drive_freq_mhz=lines[0][0]), t)
         y = trace.y
     else:
         y = rabi_probability(field.rabi_mhz, 0.0, t)
@@ -583,6 +593,12 @@ def _fit_deer_spectrum(cfg, args, trace):
     """The staged spectrum fit (fitting.fit_deer_spectrum).  Writes
     peaks.ini, rabi.ini (with --rabi-data) and concentrations.ini;
     returns the report sections."""
+    # the central fit places the P1 pair and the X line by the field
+    field = cfg.field_config()
+    if len(p1_line_table(field)) < 2:
+        raise _field_error(cfg, "the central P1 pair")
+    if not allowed_transitions(x_member(), field):
+        raise _field_error(cfg, "the X species")
     # stage 2: pump Rabi frequency
     if args.rabi_data:
         rabi_trace = _read_trace(args.rabi_data, "t_us", "p_flip",
@@ -599,7 +615,7 @@ def _fit_deer_spectrum(cfg, args, trace):
             "or set fit.rabi_mhz in the config")
 
     fit = fit_deer_spectrum(trace, omega, cfg["timing.t_b_us"],
-                            cfg["timing.t_a_us"], field=cfg.field_config())
+                            cfg["timing.t_a_us"], field=field)
     peaks = _fit_result_section(fit.peak_fit)
     _write_ini(cfg, "peaks.ini", {"peaks": peaks})
     sections = {"stage1.peaks": peaks, "stage2.rabi": rabi,

@@ -31,7 +31,6 @@ population-weighted sums of those over the ensemble members.
 """
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import photophysics
 from .errors import IntegrationError
@@ -85,6 +84,10 @@ class SinusoidalDrive:
 
 
 def _propagate_ode(h0, drive, duration_us):
+    # imported here: the ODE path is the reference only, and scipy.integrate
+    # would otherwise load on every start of the CLI
+    from scipy.integrate import solve_ivp
+
     d = h0.shape[0]
 
     def rhs(t, y):

@@ -24,7 +24,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from . import constants as c
 from .deer import (LorentzianPeak, LorentzianPeakSet,
@@ -117,6 +116,15 @@ def _weights(trace):
     # positive error
     err[~pos] = err[pos].min()
     return err
+
+
+def least_squares(*args, **kwargs):
+    """scipy.optimize.least_squares, imported on the first fit so that
+    simulate and report start without scipy.optimize.  _run_fit calls it
+    through this module attribute, which tests and the benchmark tracer
+    replace to count solves."""
+    from scipy.optimize import least_squares as solve
+    return solve(*args, **kwargs)
 
 
 def _run_fit(model, x, y, sigma, p0, names, lower=None, upper=None,

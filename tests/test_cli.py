@@ -287,6 +287,20 @@ def test_spectrum_fit_missing_rabi_stage(tmp_path, capsys):
     assert "stage 2" in capsys.readouterr().err
 
 
+def test_spectrum_fit_without_central_lines_exit_2(tmp_path, capsys):
+    # the central fit places the P1 pair and the X line by the field; at
+    # a field along the drive neither is drive-allowed
+    sim = tmp_path / "sim"
+    assert run("simulate", "-e", "deer-spectrum", "--out", str(sim)) == 0
+    rc = run("fit", "-e", "deer-spectrum", "--data",
+             str(sim / "spectrum.csv"), "--set", "fit.rabi_mhz=2",
+             "--set", "field.tilt_deg=90", "--out", str(tmp_path / "fit"))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "field.tilt_deg" in err and "field.b0_mt" in err
+    assert not (tmp_path / "fit" / "concentrations.ini").exists()
+
+
 def _spectrum_fit(tmp_path, n_x_ppb, *noise):
     """simulate then fit a 230 ppb P1 spectrum; the concentrations.ini
     estimates of P1 and X."""
@@ -353,13 +367,41 @@ def test_dip_search_matches_find_peaks(tmp_path, monkeypatch):
     assert min(searched) >= 5
 
 
-def test_import_leaves_out_scipy_signal():
-    code = ("import sys, nvdeer.cli; "
-            "print('scipy.signal' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=120, check=True,
-                          env=dict(os.environ, PYTHONPATH=str(SRC)))
-    assert proc.stdout.strip() == "False"
+_IMPORT_PROBE = """
+import json, sys
+out = sys.argv[1]
+def loaded():
+    return [m for m in ("scipy.signal", "scipy.optimize", "scipy.integrate")
+            if m in sys.modules]
+from nvdeer import cli
+seen = {"import": loaded()}
+assert cli.main(["simulate", "-e", "deer-spectrum", "--engine", "dynamics",
+                 "--set", "ensemble.gamma_mhz=0",
+                 "--set", "sweep.f_min_mhz=1041",
+                 "--set", "sweep.f_max_mhz=1043",
+                 "--set", "sweep.df_mhz=0.5", "--out", out + "/dyn"]) == 0
+seen["simulate"] = loaded()
+assert cli.main(["simulate", "-e", "deer-rabi", "--out", out + "/rabi"]) == 0
+assert cli.main(["fit", "-e", "deer-rabi", "--data", out + "/rabi/rabi.csv",
+                 "--out", out + "/fit"]) == 0
+seen["fit"] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_import_leaves_out_scipy_signal(tmp_path):
+    # simulate starts on numpy and scipy.linalg: scipy.optimize loads on
+    # the first fit, scipy.integrate only on the ODE reference path, and
+    # nothing loads scipy.signal
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE,
+                           str(tmp_path)], capture_output=True, text=True,
+                          timeout=300, env=dict(os.environ,
+                                                PYTHONPATH=str(SRC)))
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert seen["import"] == []
+    assert seen["simulate"] == []
+    assert seen["fit"] == ["scipy.optimize"]
 
 
 def test_rabi_noisy_nutation_one_start(tmp_path, starts):
@@ -432,6 +474,17 @@ def test_simulate_spectrum_species_without_line_exit_2(tmp_path, capsys,
                "--out", str(tmp_path)) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "spectrum.csv").exists()
+
+
+def test_simulate_dynamics_engine_rabi_without_x_line_exit_2(tmp_path,
+                                                            capsys):
+    # with the field along the drive no X line is drive-allowed, so the
+    # dynamics engine has no carrier: the field keys are named
+    assert run("simulate", "-e", "deer-rabi", "--engine", "dynamics",
+               "--set", "field.tilt_deg=90", "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "field.tilt_deg" in err and "field.b0_mt" in err
+    assert not (tmp_path / "rabi.csv").exists()
 
 
 def test_simulate_dynamics_engine_rabi_starts_at_zero(tmp_path):

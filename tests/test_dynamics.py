@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -20,6 +25,31 @@ def test_propagator_unitary():
     h0, drive = _two_level(0.0, 2.0, 1042.0)
     u = propagate_unitary(h0, drive, 0.31)
     assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-9)
+
+
+_ODE_PROBE = """
+import sys
+import numpy as np
+from nvdeer import SinusoidalDrive, propagate_unitary, spin_operators
+assert "scipy.integrate" not in sys.modules
+ops = spin_operators(0.5)
+h0 = 1043.3 * ops.sz
+drive = SinusoidalDrive(4.0 * ops.sx, 1042.0)
+u_ref = propagate_unitary(h0, drive, 0.05, method="ode")
+u_fast = propagate_unitary(h0, drive, 0.05, method="magnus")
+print(np.max(np.abs(u_fast - u_ref)))
+"""
+
+
+def test_ode_reference_imports_its_integrator():
+    # scipy.integrate is imported inside the ODE path, so the path must
+    # run in an interpreter where nothing has loaded it yet
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", _ODE_PROBE],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout.strip().splitlines()[-1]) < 1e-6
 
 
 def test_magnus_matches_ode_reference():
