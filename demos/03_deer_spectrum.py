@@ -7,8 +7,8 @@ P_B(f_B) is computed two independent ways:
 
 * numerically, by propagating each P1 ensemble member in the lab frame
   through the pump pulse and summing weighted transition probabilities;
-* analytically, by convolving the detuned Rabi formula with Lorentzian
-  lines at the same positions and weights.
+* analytically, by the closed-form forward model (SpectrumModel): the
+  detuned Rabi formula on lines at the same positions and weights.
 
 Both are mapped to echo contrast through the exponential dephasing
 model I = exp(-C n T_B P_B) at 200 ppb and compared point by point.
@@ -26,9 +26,8 @@ import time
 
 import numpy as np
 
-from nvdeer import (FieldConfiguration, LorentzianPeak,
-                    deer_signal_from_transfer, ensemble_transfer, p1_ensemble,
-                    p1_line_table, population_transfer)
+from nvdeer import (FieldConfiguration, SpectrumModel,
+                    deer_signal_from_transfer, ensemble_transfer, p1_ensemble)
 from nvdeer.datasets import DataSet, write_plot_spec
 
 field = FieldConfiguration(b0_mag_mt=37.2, tilt_deg=0.1, rabi_mhz=2.0,
@@ -37,7 +36,8 @@ T_B = 0.25        # pump pulse length, us
 T_B_DELAY = 20.0  # echo delay the contrast accumulates over, us
 N_PPB = 200.0
 
-rows = p1_line_table(field)
+model = SpectrumModel(field, field.rabi_mhz, T_B, T_B_DELAY)
+rows = model.lines["P1"]
 f_lines = np.array([r[0] for r in rows])
 f_grid = np.arange(f_lines.min() - 12.0, f_lines.max() + 12.0, 2.0)
 print(f"{len(f_grid)} frequency points, {len(rows)} P1 lines")
@@ -48,15 +48,13 @@ members = p1_ensemble(merge_off_axis=True)
 p_num = ensemble_transfer(members, field, f_grid, T_B, substeps=32)
 print(f"numeric P_B done in {time.time() - t0:.1f} s")
 
-# analytic branch: Lorentzian convolution of the detuned Rabi formula.
-# Zero width reproduces the bare line positions of the numeric model;
-# finite widths enter later as fit parameters.
-peaks = [LorentzianPeak(f, 0.0, a) for f, a in rows]
-p_ana = population_transfer(peaks, field.rabi_mhz, f_grid, T_B)
-
-# map both to echo contrast at the working concentration
+# map the numeric P_B to echo contrast at the working concentration
 i_num = deer_signal_from_transfer(p_num, N_PPB, T_B_DELAY)
-i_ana = deer_signal_from_transfer(p_ana, N_PPB, T_B_DELAY)
+
+# analytic branch: the forward model on the P1 lines.  Zero width
+# reproduces the bare line positions of the numeric model; finite widths
+# enter later as fit parameters.
+i_ana = model.signal(f_grid, N_PPB, 0.0, lines=rows)
 
 dev = np.abs(i_num - i_ana)
 print(f"max |I_num - I_ana| = {dev.max():.4f} "

@@ -5,9 +5,10 @@ Concentration round trip: synthesize, add noise, fit back
 End-to-end exercise of the staged estimation pipeline on a synthetic
 spectrum whose ground truth is known.  A two-species target ensemble
 (200 ppb P1 plus a 13 ppb S=1/2 shoulder species, "X") is rendered with
-the closed-form contrast model, 1% Gaussian noise is added, and the fit
-runs the path of `nvdeer fit -e deer-spectrum`.  Stage two, the Rabi
-frequency, comes from a separate nutation trace (fit_rabi_frequency).
+the forward model that `nvdeer simulate` renders and the fit stages fit
+(SpectrumModel), 1% Gaussian noise is added, and the fit runs the path
+of `nvdeer fit -e deer-spectrum`.  Stage two, the Rabi frequency, comes
+from a separate nutation trace (fit_rabi_frequency).
 fitting.fit_deer_spectrum, the function the command-line fit calls,
 runs the rest:
 
@@ -16,19 +17,16 @@ runs the rest:
    dip fitted as the field's central P1 pair,
 4. a two-species fit of the central window that separates X from P1.
 
-The spectrum is made from the six P1 lines of p1_line_table, as
-`nvdeer simulate` makes it; the two central lines overlap into one
-observed dip, so stage one finds five.  Every fit makes one start from
-its seed; the script runs in under a second (0.7 s on a 2-core x86
-host), most of it imports.
+The model's six P1 lines are those of p1_line_table; the two central
+lines overlap into one observed dip, so stage one finds five.  Every
+fit makes one start from its seed; the script runs in under a second
+(0.7 s on a 2-core x86 host), most of it imports.
 """
 
 import numpy as np
 
-from nvdeer import (FieldConfiguration, LorentzianPeak,
-                    deer_signal_from_transfer, detection_limit_ppb,
-                    fit_deer_spectrum, fit_rabi_frequency, p1_line_table,
-                    population_transfer, x_line_frequency)
+from nvdeer import (FieldConfiguration, SpectrumModel, detection_limit_ppb,
+                    fit_deer_spectrum, fit_rabi_frequency)
 from nvdeer.trace import SpectrumTrace
 
 SEED = 20
@@ -42,15 +40,9 @@ rng = np.random.default_rng(SEED)
 # ----------------------------------------------------------------------
 # synthesize the measured spectrum
 # ----------------------------------------------------------------------
-rows = p1_line_table(field)
-f_x = x_line_frequency(field)
-
 f_grid = np.arange(900.0, 1190.0, 0.25)
-pt_p1 = population_transfer(
-    [LorentzianPeak(fc, GAMMA, aa) for fc, aa in rows], OMEGA, f_grid, T_B)
-pt_x = population_transfer([LorentzianPeak(f_x, GAMMA, 1.0)],
-                           OMEGA, f_grid, T_B)
-y = deer_signal_from_transfer([pt_p1, pt_x], [N_P1, N_X], T_B_DELAY)
+y = SpectrumModel(field, OMEGA, T_B, T_B_DELAY).signal(
+    f_grid, {"P1": N_P1, "X": N_X}, GAMMA)
 trace = SpectrumTrace(f_grid,
                       y + 0.01 * rng.standard_normal(len(f_grid)),
                       y_err=np.full(len(f_grid), 0.01),

@@ -5,9 +5,9 @@ The package has two halves that check each other:
 * a first-principles half (spincore, hamiltonians, dynamics,
   photophysics) that builds defect spin Hamiltonians and propagates them
   in the lab frame under the actual pulsed drive;
-* a closed-form half (deer, fitting) with the analytic echo-contrast
-  model used to fit measured or simulated spectra and extract defect
-  concentrations and derived material quantities.
+* a closed-form half (deer, fitting): the spectrum forward model
+  (deer.SpectrumModel) that simulate renders and the fits fit to extract
+  defect concentrations and derived material quantities.
 
 The cli module wires both into simulate / fit / report / selftest
 commands; datasets handles the on-disk formats.
@@ -30,9 +30,9 @@ from .hamiltonians import (NVParams, P1Params, SpinSystem, XParams,
                            x_line_frequency, x_member)
 from .trace import SpectrumTrace
 from .deer import (LorentzianPeak, LorentzianPeakSet,
-                   P1_FIVE_LINE_AMPLITUDES, deer_signal_from_transfer,
-                   detection_limit_ppb, lorentzian, population_transfer,
-                   rabi_probability)
+                   P1_FIVE_LINE_AMPLITUDES, SpectrumModel,
+                   deer_signal_from_transfer, detection_limit_ppb,
+                   lorentzian, population_transfer, rabi_probability)
 from .dynamics import (SinusoidalDrive, compute_sigma, ensemble_transfer,
                        propagate_unitary, simulate_rabi, transition_spectrum)
 from .photophysics import (PulseTrain, RateModelParams, base_rate_matrix,

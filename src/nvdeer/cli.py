@@ -21,11 +21,10 @@ import numpy as np
 
 from . import __version__
 from .datasets import DataSet, read_summary, write_plot_spec, write_summary
-from .deer import (LorentzianPeak, deer_signal_from_transfer,
-                   population_transfer, rabi_probability)
+from .deer import SpectrumModel, deer_signal_from_transfer, rabi_probability
 from .dynamics import compute_sigma, ensemble_transfer, simulate_rabi
 from .errors import (ConfigError, DataError, FitError, IntegrationError,
-                     NumericError)
+                     KernelReachError, NumericError)
 from .fitting import (diffusion_coefficient, epr_concentration,
                       epr_double_integral, fit_deer_decay, fit_deer_spectrum,
                       fit_eseem, fit_hahn_decay, fit_rabi_frequency,
@@ -33,7 +32,7 @@ from .fitting import (diffusion_coefficient, epr_concentration,
 from .hamiltonians import (allowed_transitions, apply_orientation,
                            nv_line_table, nv_offaxis_member,
                            nv_onaxis_member, p1_ensemble, p1_group_table,
-                           p1_line_table, static_hamiltonian, x_member)
+                           static_hamiltonian, x_member)
 from .photophysics import (PulseTrain, RateModelParams, evolve_populations,
                            ground_populations, steady_state_populations)
 from .spincore import FieldConfiguration
@@ -293,37 +292,10 @@ class _Sim:
     series: tuple = ()
 
 
-def _spectrum_transfer(cfg, field, fgrid, f_x, f_nv):
-    """Per-species pump flip probabilities over the frequency grid, with
-    the X line at f_x and the off-axis NV 2<->3 line at f_nv (lists,
-    empty where the line is not drive-allowed).  The NV's is None at
-    zero NV density, where its contrast factor is 1."""
-    gamma = cfg["ensemble.gamma_mhz"]
-    omega = field.rabi_mhz
-    t_b = cfg["timing.t_b_us"]
-    if cfg["run.engine"] == "dynamics":
-        # the propagator models zero-width members; broadening them is
-        # not implemented, and dropping the width would pass off a sharp
-        # spectrum as a broad one
-        if gamma > 0:
-            raise ConfigError(
-                f"ensemble.gamma_mhz: the dynamics engine models zero-width "
-                f"lines, set it to 0 (got {gamma!r})")
-        pt_p1 = ensemble_transfer(p1_ensemble(merge_off_axis=True), field,
-                                  fgrid, t_b)
-        pt_x = ensemble_transfer([x_member()], field, fgrid, t_b)
-    else:
-        rows = p1_line_table(field)
-        pt_p1 = population_transfer(
-            [LorentzianPeak(f, gamma, a) for f, a in rows],
-            omega, fgrid, t_b)
-        pt_x = population_transfer(
-            [LorentzianPeak(f, gamma, 1.0) for f in f_x], omega, fgrid, t_b)
-    pt_nv = None
-    if cfg["ensemble.n_nv_ppb"] > 0:
-        pt_nv = population_transfer(
-            [LorentzianPeak(f, gamma, 1.0) for f in f_nv], omega, fgrid, t_b)
-    return pt_p1, pt_x, pt_nv
+def _spectrum_model(cfg):
+    """The SpectrumModel of the configured field, pump pulse and window."""
+    return SpectrumModel(cfg.field_config(), cfg["field.rabi_mhz"],
+                         cfg["timing.t_b_us"], cfg["timing.t_a_us"])
 
 
 def _field_error(cfg, what):
@@ -333,63 +305,63 @@ def _field_error(cfg, what):
         f"b0 = {cfg['field.b0_mt']} mT, tilt {cfg['field.tilt_deg']} deg")
 
 
-def _nv_sigma_table(field):
-    rows = []
-    for member in ("on", "off"):
-        sys_m = (nv_onaxis_member() if member == "on"
-                 else nv_offaxis_member())
-        h0 = static_hamiltonian(sys_m, field)
-        for a, b in ((1, 2), (2, 3), (1, 3)):
-            rows.append((member, a, b, compute_sigma(h0, a, b)))
-    return rows
-
-
 def _simulate_deer_spectrum(cfg):
     field = cfg.field_config()
     fgrid = cfg.f_grid()
-    t_a = cfg["timing.t_a_us"]
-    centers, amps = p1_group_table(field)
-    f_x = [f for f, _, _, _ in allowed_transitions(x_member(), field)[:1]]
-    nv_table = nv_line_table(field)
-    f_nv = [f for f, _, a, b, label in nv_table
-            if label != "[111]" and (a, b) == (2, 3)][:1]
-    for key, lines in (("ensemble.n_p1_ppb", centers),
-                       ("ensemble.n_x_ppb", f_x),
-                       ("ensemble.n_nv_ppb", f_nv)):
-        if cfg[key] > 0 and len(lines) == 0:
+    gamma = cfg["ensemble.gamma_mhz"]
+    model = _spectrum_model(cfg)
+    lines = model.lines
+    keys = {"P1": "ensemble.n_p1_ppb", "X": "ensemble.n_x_ppb",
+            "NV": "ensemble.n_nv_ppb"}
+    dens = {species: cfg[key] for species, key in keys.items()}
+    for species, key in keys.items():
+        if dens[species] > 0 and not lines[species]:
             raise ConfigError(
                 f"{key}: this species has no drive-allowed line at "
                 f"b0 = {cfg['field.b0_mt']} mT, tilt "
                 f"{cfg['field.tilt_deg']} deg (got {cfg[key]!r})")
-    pt_p1, pt_x, pt_nv = _spectrum_transfer(cfg, field, fgrid, f_x, f_nv)
-    member = nv_offaxis_member()
-    y = deer_signal_from_transfer(
-        [pt_p1, pt_x], [cfg["ensemble.n_p1_ppb"], cfg["ensemble.n_x_ppb"]],
-        t_a)
-    if pt_nv is not None:
-        # sensor-sensor contribution: 3/4 of the NVs sit on off-axis lines
-        sigma_nv = compute_sigma(static_hamiltonian(member, field), 2, 3)
-        y = y * deer_signal_from_transfer(
-            0.75 * pt_nv, cfg["ensemble.n_nv_ppb"], t_a, sigma_nv)
+    if cfg["run.engine"] == "dynamics":
+        # the propagator models zero-width members; broadening them is
+        # not implemented, and dropping the width would pass off a sharp
+        # spectrum as a broad one
+        if gamma > 0:
+            raise ConfigError(
+                f"ensemble.gamma_mhz: the dynamics engine models zero-width "
+                f"lines, set it to 0 (got {gamma!r})")
+        t_b = cfg["timing.t_b_us"]
+        transfers = {
+            "P1": ensemble_transfer(p1_ensemble(merge_off_axis=True), field,
+                                    fgrid, t_b),
+            "X": ensemble_transfer([x_member()], field, fgrid, t_b)}
+        if dens["NV"] > 0:
+            transfers["NV"] = model.transfer(fgrid, lines["NV"], gamma)
+        y = model.contrast(transfers, dens)
+    else:
+        y = model.signal(fgrid, dens, gamma)
 
+    centers, amps = p1_group_table(lines["P1"])
     lines_p1 = {f"group_{i + 1}_mhz": float(fc)
                 for i, fc in enumerate(centers)}
     lines_p1.update({f"group_{i + 1}_amp": float(aa)
                      for i, aa in enumerate(amps)})
     nv_lines = {}
-    for f, el, a, b, label in nv_table:
+    for f, el, a, b, label in nv_line_table(field):
         tag = "onaxis" if label == "[111]" else "offaxis"
         nv_lines[f"{tag}_{a}{b}_mhz"] = float(f)
-    sigmas = {f"{m}axis_{a}{b}": float(s)
-              for m, a, b, s in _nv_sigma_table(field)}
-    b_member, _ = apply_orientation(member.orientation, field)
+    sigmas = {}
+    for tag, member in (("on", nv_onaxis_member()),
+                        ("off", nv_offaxis_member())):
+        h0 = static_hamiltonian(member, field)
+        for a, b in ((1, 2), (2, 3), (1, 3)):
+            sigmas[f"{tag}axis_{a}{b}"] = float(compute_sigma(h0, a, b))
+    b_member, _ = apply_orientation(nv_offaxis_member().orientation, field)
     pops7, n_pulses = steady_state_populations(
         RateModelParams.for_field(b_member, beta=cfg["ensemble.beta"]),
         PulseTrain())
     n123 = ground_populations(pops7)
     return _Sim(
         {"lines.p1": lines_p1,
-         "lines.x": {"f_mhz": float(f_x[0])} if f_x else {},
+         "lines.x": {"f_mhz": float(f) for f, _ in lines["X"]},
          "lines.nv": nv_lines,
          "sigma": sigmas,
          "populations.offaxis": {
@@ -423,21 +395,19 @@ def _simulate_deer_rabi(cfg):
         err="p_flip_err")
 
 
-def _decay_p_b(cfg, field):
+def _decay_p_b(cfg):
     """Pump flip probability on the addressed line (defaults to the
     central P1 line unless fit.p_b overrides)."""
     if cfg["fit.p_b"] > 0:
         return cfg["fit.p_b"]
-    peak = LorentzianPeak(field.drive_freq_mhz, cfg["ensemble.gamma_mhz"],
-                          1.0 / 3.0)
-    return float(population_transfer([peak], field.rabi_mhz,
-                                     field.drive_freq_mhz,
-                                     cfg["timing.t_b_us"]))
+    drive = cfg["field.drive_freq_mhz"]
+    return float(_spectrum_model(cfg).transfer(
+        drive, ((drive, 1.0 / 3.0),), cfg["ensemble.gamma_mhz"]))
 
 
 def _simulate_deer_decay(cfg):
     t = cfg.t_grid()
-    p_b = _decay_p_b(cfg, cfg.field_config())
+    p_b = _decay_p_b(cfg)
     y = deer_signal_from_transfer(p_b, cfg["ensemble.n_p1_ppb"], t)
     return _Sim(
         {"decay": {"p_b": p_b, "n_p1_ppb": cfg["ensemble.n_p1_ppb"]}},
@@ -592,12 +562,12 @@ def _estimate_section(est):
 def _fit_deer_spectrum(cfg, args, trace):
     """The staged spectrum fit (fitting.fit_deer_spectrum).  Writes
     peaks.ini, rabi.ini (with --rabi-data) and concentrations.ini;
-    returns the report sections."""
+    returns the report sections, and writes nothing when a stage fails."""
     # the central fit places the P1 pair and the X line by the field
-    field = cfg.field_config()
-    if len(p1_line_table(field)) < 2:
+    lines = _spectrum_model(cfg).lines
+    if len(lines["P1"]) < 2:
         raise _field_error(cfg, "the central P1 pair")
-    if not allowed_transitions(x_member(), field):
+    if not lines["X"]:
         raise _field_error(cfg, "the X species")
     # stage 2: pump Rabi frequency
     if args.rabi_data:
@@ -605,7 +575,6 @@ def _fit_deer_spectrum(cfg, args, trace):
                                  "p_flip_err")
         omega, res2 = fit_rabi_frequency(rabi_trace)
         rabi = _fit_result_section(res2)
-        _write_ini(cfg, "rabi.ini", {"rabi": rabi})
     elif cfg["fit.rabi_mhz"] > 0:
         omega = cfg["fit.rabi_mhz"]
         rabi = {"f_rabi": omega, "source": "config"}
@@ -615,7 +584,9 @@ def _fit_deer_spectrum(cfg, args, trace):
             "or set fit.rabi_mhz in the config")
 
     fit = fit_deer_spectrum(trace, omega, cfg["timing.t_b_us"],
-                            cfg["timing.t_a_us"], field=field)
+                            cfg["timing.t_a_us"], field=cfg.field_config())
+    if args.rabi_data:
+        _write_ini(cfg, "rabi.ini", {"rabi": rabi})
     peaks = _fit_result_section(fit.peak_fit)
     _write_ini(cfg, "peaks.ini", {"peaks": peaks})
     sections = {"stage1.peaks": peaks, "stage2.rabi": rabi,
@@ -636,7 +607,7 @@ def _fit_rabi(cfg, args, trace):
 
 
 def _fit_decay(cfg, args, trace):
-    p_b = _decay_p_b(cfg, cfg.field_config())
+    p_b = _decay_p_b(cfg)
     est, res = fit_deer_decay(trace, p_b)
     return {"decay": _fit_result_section(res),
             "estimate.p1": _estimate_section(est)}
@@ -700,7 +671,13 @@ def cmd_fit(cfg, args):
     if not args.data:
         raise DataError("fit input missing: pass --data")
     trace = _read_trace(args.data, *columns)
-    sections = runner(cfg, args, trace)
+    # a ValueError of the runners' input checks is a fault of the data
+    try:
+        sections = runner(cfg, args, trace)
+    except (ConfigError, KernelReachError):
+        raise
+    except ValueError as exc:
+        raise DataError(str(exc)) from None
     _write_ini(cfg, "report.ini", sections)
     if out_name:
         _write_ini(cfg, out_name, sections)
@@ -870,6 +847,10 @@ def main(argv=None):
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except KernelReachError as exc:
+        print("config error: field.rabi_mhz, fit.rabi_mhz, field.b0_mt, "
+              f"sweep.f_min_mhz, sweep.f_max_mhz: {exc}", file=sys.stderr)
         return 2
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -15,7 +15,8 @@ Lorentzians, convolved with the finite-pulse Rabi kernel
                              * sin^2(pi sqrt(Omega^2 + Delta^2) t_b).
 
 The convolution is a sum over the Fourier modes of the kernel, built
-once per pulse; simulate and the fit models use this one operator.
+once per pulse.  SpectrumModel, the forward model that simulate and the
+fits evaluate, joins it to the species' lines and the contrast law.
 Everything here is analytic; the dynamics module produces the same
 quantities from explicit time propagation, which is the cross-check used
 by the self tests.
@@ -29,8 +30,14 @@ import numpy as np
 import numpy.fft  # noqa: F401
 
 from . import constants as c
+from .dynamics import compute_sigma
+from .errors import KernelReachError
+from .hamiltonians import (allowed_transitions, nv_offaxis_member,
+                           p1_line_table, static_hamiltonian, x_member)
+from .spincore import FieldConfiguration
 
 __all__ = [
+    "SpectrumModel",
     "LorentzianPeak",
     "LorentzianPeakSet",
     "lorentzian",
@@ -154,8 +161,8 @@ def population_transfer(peaks, omega_mhz, f_b_mhz, t_b_us):
     coefficient vector, summed at each f_b with no quadrature and no
     interpolation: within 6e-6 of a tight quadrature for gamma up to
     3 MHz out to 240 MHz.  The series is periodic; its period grows with
-    the pump's reach beyond the lines (_kernel_period), and a reach past
-    ~24 GHz raises ValueError.  Vectorized over f_b_mhz.
+    the pump's reach beyond the lines and the drive (_kernel_period), and
+    past its cap raises KernelReachError.  Vectorized over f_b_mhz.
 
     Returns
     -------
@@ -206,9 +213,10 @@ def _kernel_period(peaks, omega_mhz, fb):
     while period < need and period < KERNEL_MAX_PERIOD_MHZ:
         period *= 2.0
     if period < need:
-        raise ValueError(f"pump frequencies reach {reach:.0f} MHz beyond "
-                         "the lines; the line operator covers "
-                         f"{KERNEL_MAX_PERIOD_MHZ - need + reach:.0f} MHz")
+        raise KernelReachError(
+            f"a {omega_mhz:g} MHz drive reaching {reach:.0f} MHz beyond the "
+            f"lines needs a line-operator period of {need:.0f} MHz, above "
+            f"its cap of {KERNEL_MAX_PERIOD_MHZ:.0f} MHz")
     return period
 
 
@@ -349,3 +357,87 @@ def detection_limit_ppb(min_contrast, t_b_delay_us, line_amp=1.0 / 3.0):
         rate * t_b_delay_us * c.US_TO_S * line_amp)
     return float(c.per_m3_to_ppb(n_per_m3))
 
+
+@functools.lru_cache(maxsize=8)
+def _species_lines(field):
+    """SpectrumModel.lines as (species, rows) pairs, and the sigma of the
+    off-axis NV 2<->3 line."""
+    x = allowed_transitions(x_member(), field)[:1]
+    nv = [r for r in allowed_transitions(nv_offaxis_member(), field)
+          if r[2:] == (2, 3)][:1]
+    return ((("P1", tuple(p1_line_table(field))),
+             ("X", tuple((f, 1.0) for f, *_ in x)),
+             ("NV", tuple((f, 1.0) for f, *_ in nv))),
+            compute_sigma(static_hamiltonian(nv_offaxis_member(), field),
+                          2, 3))
+
+
+@dataclass(frozen=True)
+class SpectrumModel:
+    """The forward model of a DEER spectrum at a field, for a pump pulse
+    (Rabi frequency omega_mhz, length t_b_us) and a dipolar window
+    t_a_us: the species' lines, the line operator (population_transfer,
+    line_transfer_gradient) and the contrast law
+    (deer_signal_from_transfer).  signal runs all three."""
+
+    field: FieldConfiguration
+    omega_mhz: float
+    t_b_us: float
+    t_a_us: float
+
+    @property
+    def lines(self):
+        """(frequency, area) rows by species, built once per field: P1's
+        from p1_line_table, the first drive-allowed X line and the
+        off-axis NV 2<->3 line at area 1, none where no line is allowed."""
+        return dict(_species_lines(self.field)[0])
+
+    def transfer(self, f, lines, width):
+        """Pump flip probability at f of rows of HWHM width."""
+        return self._transfer(f, lines, width, 0.0)
+
+    def _transfer(self, f, rows, width, shift, slopes=False):
+        operator = line_transfer_gradient if slopes else population_transfer
+        return operator([LorentzianPeak(fr + shift, width, a)
+                         for fr, a in rows], self.omega_mhz, f, self.t_b_us)
+
+    def contrast(self, transfers, densities):
+        """Echo contrast from the species' flip probabilities, both by
+        species (a missing density is 0): P1 and X in one exponent, times
+        3/4 of the NVs on their off-axis line when n_NV > 0."""
+        out = deer_signal_from_transfer(
+            [transfers["P1"], transfers["X"]],
+            [densities.get("P1", 0.0), densities.get("X", 0.0)], self.t_a_us)
+        if densities.get("NV", 0.0) > 0:
+            out = out * deer_signal_from_transfer(
+                0.75 * transfers["NV"], densities["NV"], self.t_a_us,
+                _species_lines(self.field)[1])
+        return out
+
+    def signal(self, f, densities, width, shift=0.0, lines=None,
+               jac=False):
+        """Echo contrast I(f) of lines of HWHM width shifted by shift
+        (MHz).  lines None is the model's species with densities by
+        species (contrast).  Otherwise lines is one row set with a scalar
+        density, which keeps the one-species grouping of the contrast
+        law, or a sequence of row sets with a density (and a width, or
+        one for all) each.  With lines and jac, returns (I, G), G's
+        columns d ln I / d(shift, width, each density)."""
+        if lines is None:
+            return self.contrast(
+                {s: self._transfer(f, rows, width, shift)
+                 for s, rows in self.lines.items()
+                 if s != "NV" or densities.get("NV", 0.0) > 0}, densities)
+        single = np.ndim(densities) == 0
+        sets, dens = ([lines], [densities]) if single else (lines, densities)
+        terms = [self._transfer(f, rows, w, shift, jac)
+                 for rows, w in zip(sets, np.broadcast_to(width, len(sets)))]
+        probs = [t[0] for t in terms] if jac else terms
+        out = deer_signal_from_transfer(probs[0] if single else probs,
+                                        densities, self.t_a_us)
+        if not jac:
+            return out
+        rate = contrast_rate_per_ppb(self.t_a_us)
+        return out, np.column_stack(
+            [sum(-rate * n * t[k] for n, t in zip(dens, terms))
+             for k in (1, 2)] + [-rate * p for p in probs])

@@ -2,7 +2,10 @@
 
 Invalid arguments raise plain ValueError everywhere; the classes here cover
 failures that appear only at run time (integration blow-ups, fits that do
-not converge, unreadable data files).
+not converge, unreadable data files).  The CLI exits 2 on ConfigError and
+KernelReachError (naming the keys that set the drive, field and sweep),
+3 on DataError and on a ValueError from a fit's input checks, and 4 on
+NumericError and FitError.
 """
 
 
@@ -32,3 +35,7 @@ class FitWarning(UserWarning):
 
 class DataQualityWarning(UserWarning):
     """Input data is usable but looks degraded (clipping, sparse errors)."""
+
+
+class KernelReachError(ValueError):
+    """The line operator's longest period cannot cover the pump's reach."""

@@ -12,14 +12,12 @@ workloads pass it.  The concentration extraction follows the staged
 protocol: Lorentzian peak positions first, Rabi frequency second, then
 per-peak echo-contrast fits with everything but (f_r, Gamma, n_b)
 frozen, and a central fit of the P1 pair and the X line, both placed by
-the field; stages three and four share one line model (_fit_lines).
-Every concentration fit uses the contrast law of an S = 1/2 bath spin,
-C at g = G_ELECTRON and sigma_B = 1/2 (deer.contrast_rate_per_ppb).
-fit_deer_spectrum runs stages one, three and four for the CLI, the
-selftest and the demos.
+the field.  Stages three and four fit one line model (_fit_lines), the
+forward model that simulate renders (deer.SpectrumModel), with the
+contrast law of an S = 1/2 bath spin.  fit_deer_spectrum runs stages
+one, three and four for the CLI, the selftest and the demos.
 """
 
-import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -27,11 +25,10 @@ import numpy as np
 
 from . import constants as c
 from .deer import (LorentzianPeak, LorentzianPeakSet,
-                   P1_FIVE_LINE_AMPLITUDES, contrast_rate_per_ppb,
-                   deer_signal_from_transfer, detection_limit_ppb,
-                   line_transfer_gradient, population_transfer)
+                   P1_FIVE_LINE_AMPLITUDES, SpectrumModel,
+                   contrast_rate_per_ppb, deer_signal_from_transfer,
+                   detection_limit_ppb)
 from .errors import DataError, FitError, FitWarning, DataQualityWarning
-from .hamiltonians import p1_line_table, x_line_frequency
 from .spincore import FieldConfiguration
 
 __all__ = [
@@ -421,69 +418,49 @@ class DeerFixedParams:
             raise ValueError("line amplitudes must be positive")
         object.__setattr__(self, "amps", amps)
 
-    def transfer(self, f_r, gamma, amp, f):
-        """Pump flip probability of one Lorentzian line, or of sequences
-        f_r and amp of lines that share gamma (population_transfer)."""
-        return population_transfer(_peaks(f_r, gamma, amp), self.omega_mhz,
-                                   f, self.t_b_us)
 
-    def transfer_gradient(self, f_r, gamma, amp, f):
-        """transfer() with its derivatives in f_r and gamma
-        (line_transfer_gradient); f_r and amp may be sequences of lines
-        that share gamma and shift together."""
-        return line_transfer_gradient(_peaks(f_r, gamma, amp),
-                                      self.omega_mhz, f, self.t_b_us)
-
-    def contrast(self, p_b, n_ppb):
-        """Echo contrast of one species, or of sequences of several
-        (deer_signal_from_transfer)."""
-        return deer_signal_from_transfer(p_b, n_ppb, self.t_b_delay_us)
-
-    def rate_per_ppb(self):
-        """C T_B per ppb: d contrast / d n_i = -rate P_i contrast."""
-        return contrast_rate_per_ppb(self.t_b_delay_us)
+def _central_window_lines(model):
+    """The two middle P1 rows (the central pair) and the X row of the
+    model's lines, each as (offset, area) from the pair's area-weighted
+    centre."""
+    rows = model.lines["P1"]
+    mid = rows[len(rows) // 2 - 1: len(rows) // 2 + 1]
+    centre = sum(f * a for f, a in mid) / sum(a for _, a in mid)
+    return tuple(tuple((f - centre, a) for f, a in lines)
+                 for lines in (mid, model.lines["X"]))
 
 
-def _peaks(f_r, gamma, amp):
-    """LorentzianPeaks of width gamma at f_r with areas amp, scalars or
-    equal-length sequences."""
-    return [LorentzianPeak(fj, gamma, aj)
-            for fj, aj in zip(np.atleast_1d(f_r), np.atleast_1d(amp))]
-
-
-def _fit_lines(trace, fixed, groups, f_c, gamma, n0, background,
+def _fit_lines(trace, model, groups, f_c, gamma, n0, background,
                names=("f_r", "gamma", "n_ppb")):
     """The line fit of stages three and four: I = b bg exp(-C T_B
-    sum_s n_s P_s(f)), every line shifted by f_c and of width gamma.
+    sum_s n_s P_s(f)), every line shifted by f_c and of width gamma
+    (model.signal).
 
     groups holds (n_ppb, ((offset from f_c, area), ...)); the one group
     with n_ppb None has the free density, seeded at n0.  The parameters
     are f_c, gamma and that density (under `names`) and, with background
     None, a free baseline b ("base"); otherwise bg is the contrast of the
     background rows (n_ppb, f_r, gamma, amp), f_r and amp scalars or
-    sequences (DeerFixedParams.transfer), and b = 1.  Returns the
-    FitResult and its model(f, p) -> (I, J).
+    sequences, and b = 1.  Returns the FitResult and its model(f, p) ->
+    (I, J).
     """
     free = [n for n, _ in groups].index(None)
-    offsets = [np.array([d for d, _ in lines]) for _, lines in groups]
-    areas = [[a for _, a in lines] for _, lines in groups]
+    # one group keeps the one-species grouping of the contrast law
+    one = len(groups) == 1
+    lines = groups[0][1] if one else [rows for _, rows in groups]
     free_base = background is None
-    bg = fixed.contrast([fixed.transfer(fj, gj, aj, trace.x)
-                         for _, fj, gj, aj in background or []],
-                        [nj for nj, _, _, _ in background or []])
-    rate = fixed.rate_per_ppb()
+    rows = background or []
+    bg = model.signal(trace.x, [n for n, _, _, _ in rows],
+                      [g for _, _, g, _ in rows],
+                      lines=[tuple(zip(np.atleast_1d(f), np.atleast_1d(a)))
+                             for _, f, _, a in rows])
 
-    def model(fv, p):
+    def fit_model(fv, p):
         dens = [p[2] if n is None else n for n, _ in groups]
-        grads = [fixed.transfer_gradient(p[0] + d, p[1], a, fv)
-                 for d, a in zip(offsets, areas)]
-        # one group keeps the one-species grouping of the contrast law
-        contrast = (fixed.contrast(grads[0][0], dens[0]) if len(groups) == 1
-                    else fixed.contrast([g[0] for g in grads], dens))
+        contrast, slopes = model.signal(fv, dens[0] if one else dens, p[1],
+                                        p[0], lines, jac=True)
         out = (p[3] if free_base else 1.0) * bg * contrast
-        cols = [sum(-rate * n * g[1] for n, g in zip(dens, grads)) * out,
-                sum(-rate * n * g[2] for n, g in zip(dens, grads)) * out,
-                -rate * grads[free][0] * out]
+        cols = [slopes[:, j] * out for j in (0, 1, 2 + free)]
         if free_base:
             cols.append(bg * contrast)
         return out, np.column_stack(cols)
@@ -493,9 +470,9 @@ def _fit_lines(trace, fixed, groups, f_c, gamma, n0, background,
     if free_base:
         names, p0 = names + ("base",), p0 + [np.percentile(trace.y, 90)]
         lo, hi, xs = lo + [0.5], hi + [1.5], xs + [1.0]
-    res = _run_fit(model, trace.x, trace.y, _weights(trace), p0, names,
+    res = _run_fit(fit_model, trace.x, trace.y, _weights(trace), p0, names,
                    lower=lo, upper=hi, x_scale=xs)
-    return res, model
+    return res, fit_model
 
 
 def fit_concentration_spectrum(trace, seeds, fixed, exclude_central=True,
@@ -535,9 +512,10 @@ def fit_concentration_spectrum(trace, seeds, fixed, exclude_central=True,
     seed : accepted and unused; every fit makes one start.
     field : FieldConfiguration, optional (None is DEFAULT_FIELD)
         With five peaks the middle one is fitted as the central P1 pair
-        of p1_line_table(field) (_central_group), shifted together by its
-        f_r: one line would take up the pair's splitting in an inflated
-        width and density, and bias the other peaks through its wings.
+        of p1_line_table(field) (_central_window_lines), shifted together
+        by its f_r: one line would take up the pair's splitting in an
+        inflated width and density, and bias the other peaks through its
+        wings.
 
     Returns
     -------
@@ -556,10 +534,11 @@ def fit_concentration_spectrum(trace, seeds, fixed, exclude_central=True,
     if len(fixed.amps) != len(centers):
         raise ValueError("fixed.amps must have one amplitude per peak")
 
+    model = SpectrumModel(field or DEFAULT_FIELD, fixed.omega_mhz,
+                          fixed.t_b_us, fixed.t_b_delay_us)
     lines = [((0.0, a),) for a in fixed.amps]
     if len(lines) == 5:
-        lines[2] = _central_group(DEFAULT_FIELD if field is None
-                                  else field)[0]
+        lines[2] = _central_window_lines(model)[0]
 
     def fit_one(f_c, g_c, group, n0, background):
         # first pass: n0 None (seeded from the dip depth) and background
@@ -570,12 +549,10 @@ def fit_concentration_spectrum(trace, seeds, fixed, exclude_central=True,
             raise ValueError(f"window around {f_c:.1f} MHz has too few "
                              "points")
         if n0 is None:
-            p_res = fixed.transfer([d for d, _ in group], 0.5,
-                                   [a for _, a in group], 0.0)
             n0 = detection_limit_ppb(
                 np.clip(1.0 - sub.y.min(), 1e-4, 0.999), fixed.t_b_delay_us,
-                max(p_res, 1e-6))
-        return _fit_lines(sub, fixed, [(None, group)], f_c, g_c, n0,
+                max(model.transfer(0.0, group, 0.5), 1e-6))
+        return _fit_lines(sub, model, [(None, group)], f_c, g_c, n0,
                           background)[0]
 
     results = [fit_one(f_c, g_c, group, None, None)
@@ -610,31 +587,17 @@ def fit_concentration_spectrum(trace, seeds, fixed, exclude_central=True,
     return est, results
 
 
-@functools.lru_cache(maxsize=8)
-def _central_group(field):
-    """The central P1 pair and the X line at `field`: ((offset, area)
-    of the two middle rows of p1_line_table, each offset from the pair's
-    area-weighted centre), and the X line's offset from that centre."""
-    rows = p1_line_table(field)
-    mid = rows[len(rows) // 2 - 1: len(rows) // 2 + 1]
-    centre = sum(f * a for f, a in mid) / sum(a for _, a in mid)
-    pair = tuple((f - centre, a) for f, a in mid)
-    return pair, x_line_frequency(field) - centre
-
-
 def fit_central_line_two_species(trace, n_p1_ppb, fixed, field=None,
                                  background=None, seed=0):
     """X concentration from the central window with the P1 part frozen.
 
     Model (_fit_lines): I = exp(-C T_B [n_P1 sum_j P(f; f_c + d_j,
-    Gamma, A_j) + n_X P(f; f_c + d_X, Gamma, 1)]).  The P1 part is the
-    physical central pair, the two middle rows of p1_line_table(field),
-    each at its offset d_j from the pair's area-weighted centre f_c with
-    its area A_j (1/12 and 1/4); n_P1 is fixed.  The X species is a bare
-    S = 1/2 line (amplitude 1) placed by the field at
-    d_X = x_line_frequency(field) - centre, with the pair's width.  The
-    free parameters are f_c, Gamma and n_X (plus a baseline `base` when
-    no background is given); f_x and gamma_x are reported as derived
+    Gamma, A_j) + n_X P(f; f_c + d_X, Gamma, 1)]), the central P1 pair
+    (areas A_j of 1/12 and 1/4) and the X line of the field's
+    SpectrumModel lines, at their offsets d from the pair's area-weighted
+    centre f_c (_central_window_lines); n_P1 is fixed.  The free
+    parameters are f_c, Gamma and n_X (plus a baseline `base` when no
+    background is given); f_x and gamma_x are reported as derived
     params.  `fixed` supplies the pulse and contrast constants; its amps
     are not used.  field=None is DEFAULT_FIELD.  `seed` is accepted and
     unused: the fit makes one start.
@@ -649,10 +612,11 @@ def fit_central_line_two_species(trace, n_p1_ppb, fixed, field=None,
     """
     if n_p1_ppb < 0:
         raise ValueError("n_p1_ppb must be >= 0")
-    pair, x_offset = _central_group(DEFAULT_FIELD if field is None
-                                    else field)
+    spectrum = SpectrumModel(field or DEFAULT_FIELD, fixed.omega_mhz,
+                             fixed.t_b_us, fixed.t_b_delay_us)
+    pair, x_line = _central_window_lines(spectrum)
     res, model = _fit_lines(
-        trace, fixed, [(n_p1_ppb, pair), (None, ((x_offset, 1.0),))],
+        trace, spectrum, [(n_p1_ppb, pair), (None, x_line)],
         trace.x[np.argmin(trace.y)], 1.0, max(0.05 * n_p1_ppb, 1.0),
         background, names=("f_central", "gamma_central", "n_x_ppb"))
     # trf closes in on a bound geometrically and stops short of it: on
@@ -664,7 +628,7 @@ def fit_central_line_two_species(trace, n_p1_ppb, fixed, field=None,
     if np.linalg.norm((model(trace.x, at_bound)[0] - trace.y)
                       / _weights(trace)) <= res.residual_norm:
         res.params["n_x_ppb"] = 0.0
-    res.params["f_x"] = res.params["f_central"] + x_offset
+    res.params["f_x"] = res.params["f_central"] + x_line[0][0]
     res.std_errors["f_x"] = res.std_errors["f_central"]
     res.params["gamma_x"] = res.params["gamma_central"]
     res.std_errors["gamma_x"] = res.std_errors["gamma_central"]
@@ -775,7 +739,8 @@ def _stretched_exp(tv, a, t2, n):
 def fit_hahn_decay(trace):
     """Stretched-exponential echo decay a exp(-(t/T2)^n).
 
-    Returns FitResult with params a, t2_us, n.
+    Returns FitResult with params a, t2_us, n.  Warns when the data end
+    before the fitted T2, where T2 and n trade against each other.
     """
     t, y = trace.x, trace.y
     if len(t) < 6:
@@ -790,6 +755,9 @@ def fit_hahn_decay(trace):
                    _weights(trace), [a0, t2_0, 1.5], ["a", "t2_us", "n"],
                    lower=[0.0, np.min(np.diff(t)), 0.2],
                    upper=[np.inf, np.inf, 6.0])
+    if t[-1] < res.params["t2_us"]:
+        warnings.warn("data end before the fitted T2; T2 and the stretch "
+                      "are poorly constrained", FitWarning)
     return res
 
 

@@ -287,15 +287,15 @@ def p1_line_table(field, params=None):
     return rows
 
 
-def p1_group_table(field):
-    """The six P1 lines merged into the five observed groups.
+def p1_group_table(rows):
+    """The six P1 lines of p1_line_table, `rows`, merged into the five
+    observed groups.
 
     The two central lines sit closer than the pulse bandwidth and merge
     into one group at their area-weighted mean frequency, carrying their
     summed area.  Returns (centers, amps) arrays sorted by frequency,
     empty when no P1 line is drive-allowed.
     """
-    rows = p1_line_table(field)
     if not rows:
         return np.empty(0), np.empty(0)
     f = np.array([r[0] for r in rows])

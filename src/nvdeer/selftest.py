@@ -14,16 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .deer import (LorentzianPeak, deer_signal_from_transfer,
-                   detection_limit_ppb, lorentzian, population_transfer,
-                   rabi_probability)
+from .deer import (SpectrumModel, deer_signal_from_transfer,
+                   detection_limit_ppb, rabi_probability)
 from .dynamics import (compute_sigma, ensemble_transfer, propagate_unitary,
                        SinusoidalDrive)
 from .fitting import (diffusion_coefficient, fit_deer_spectrum, fit_eseem,
                       fit_rabi_frequency)
 from .hamiltonians import (apply_orientation, nv_offaxis_member, p1_ensemble,
-                           p1_line_table, static_hamiltonian,
-                           x_line_frequency, x_member)
+                           static_hamiltonian, x_member)
 from .photophysics import (PulseTrain, RateModelParams, ground_populations,
                            steady_state_populations)
 from .spincore import FieldConfiguration, spin_operators
@@ -136,16 +134,15 @@ def check_sim_vs_analytic():
     """Numeric P1 five-line spectrum vs the closed-form contrast model."""
     t0 = time.time()
     members = p1_ensemble(merge_off_axis=True)
-    rows = p1_line_table(FIELD)
+    model = SpectrumModel(FIELD, FIELD.rabi_mhz, 0.25, 20.0)
+    rows = model.lines["P1"]
     f = np.array([r[0] for r in rows])
     lo = min(f) - 12.0
     hi = max(f) + 12.0
     fgrid = np.arange(lo, hi + 0.25, 0.5)
     p_num = ensemble_transfer(members, FIELD, fgrid, 0.25)
-    peaks = [LorentzianPeak(fi, 0.0, ai) for fi, ai in rows]
-    p_ana = population_transfer(peaks, FIELD.rabi_mhz, fgrid, 0.25)
     i_num = deer_signal_from_transfer(p_num, 200.0, 20.0)
-    i_ana = deer_signal_from_transfer(p_ana, 200.0, 20.0)
+    i_ana = model.signal(fgrid, 200.0, 0.0, lines=rows)
     dev = float(np.max(np.abs(i_num - i_ana)))
     return _result("dynamics vs analytic spectrum", dev <= 0.02,
                    f"max |dI| = {dev:.4f}", "<= 0.02", t0, max_dev=dev)
@@ -178,16 +175,9 @@ def check_round_trip():
     omega, t_b, t_b_delay = 2.0, 0.25, 20.0
     rng = np.random.default_rng(42)
 
-    rows = p1_line_table(FIELD)
-    f_x = x_line_frequency(FIELD)
-
     fgrid = np.arange(900.0, 1190.0 + 0.125, 0.25)
-    pt = population_transfer([LorentzianPeak(fc, gamma_true, aa)
-                              for fc, aa in rows], omega, fgrid, t_b)
-    pt_x = population_transfer([LorentzianPeak(f_x, gamma_true, 1.0)],
-                               omega, fgrid, t_b)
-    y = deer_signal_from_transfer([pt, pt_x], [n_p1_true, n_x_true],
-                                  t_b_delay)
+    y = SpectrumModel(FIELD, omega, t_b, t_b_delay).signal(
+        fgrid, {"P1": n_p1_true, "X": n_x_true}, gamma_true)
     trace = SpectrumTrace(fgrid, y + 0.01 * rng.standard_normal(len(fgrid)),
                           y_err=np.full(len(fgrid), 0.01),
                           x_label="f_B (MHz)", y_label="I_DEER")
@@ -238,18 +228,19 @@ def check_properties():
         ok = False
         msgs.append("unitarity")
 
-    # lineshape normalization: unit-area peak set integrates to ~1
-    peaks = [LorentzianPeak(1042.0, 1.2, 1.0)]
-    xi = np.linspace(1042 - 600, 1042 + 600, 200001)
-    area = np.trapezoid(lorentzian(peaks, xi), xi)
+    # lineshape normalization: a unit-area line broadens the flip
+    # probability of the bare Rabi kernel and keeps its area
+    model = SpectrumModel(FIELD, 2.0, 0.25, 20.0)
+    line = ((1042.0, 1.0),)
+    xi = np.linspace(1042 - 1200, 1042 + 1200, 48001)
+    area = (np.trapezoid(model.transfer(xi, line, 1.2), xi)
+            / np.trapezoid(model.transfer(xi, line, 0.0), xi))
     if abs(area - 1.0) > 2e-3:
         ok = False
         msgs.append(f"lorentzian area {area:.4f}")
 
     # contrast decreases monotonically with concentration
-    pt = population_transfer([LorentzianPeak(1042.0, 1.2, 1.0)], 2.0,
-                             np.array([1042.0]), 0.25)[0]
-    i_vals = [deer_signal_from_transfer(pt, n, 20.0)
+    i_vals = [model.signal(np.array([1042.0]), n, 1.2, lines=line)[0]
               for n in (0.0, 10.0, 100.0, 1000.0)]
     if not (i_vals[0] == 1.0 and np.all(np.diff(i_vals) < 0)):
         ok = False

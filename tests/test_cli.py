@@ -3,14 +3,15 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from nvdeer import fitting
+from nvdeer import FieldConfiguration, SpectrumModel, fitting
 from nvdeer.cli import load_config, main
 from nvdeer.datasets import DataSet, read_summary
-from nvdeer.errors import ConfigError, FitError
+from nvdeer.errors import ConfigError, FitError, FitWarning
 
 TESTS = pathlib.Path(__file__).resolve().parent
 GOLDEN = TESTS / "golden"
@@ -208,11 +209,37 @@ def test_fit_hahn_pipeline(tmp_path):
                "--set", "sweep.t_min_us=2", "--set", "sweep.t_max_us=700",
                "--out", str(sim)) == 0
     fit = tmp_path / "fit"
-    assert run("fit", "-e", "hahn", "--data", str(sim / "hahn.csv"),
-               "--out", str(fit)) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", FitWarning)
+        assert run("fit", "-e", "hahn", "--data", str(sim / "hahn.csv"),
+                   "--out", str(fit)) == 0
     hahn = read_summary(fit / "report.ini")["hahn"]
     assert float(hahn["t2_us"]) == pytest.approx(100.0, rel=0.05)
     assert float(hahn["n"]) == pytest.approx(1.5, abs=0.1)
+
+
+def test_fit_hahn_default_round_trip_warns(tmp_path):
+    # the default grid ends at 3 us, far short of the 100 us T2: the fit
+    # converges on an unconstrained T2 and says so
+    sim = tmp_path / "sim"
+    assert run("simulate", "-e", "hahn", "--noise", "0.01",
+               "--out", str(sim)) == 0
+    with pytest.warns(FitWarning, match="before the fitted T2"):
+        assert run("fit", "-e", "hahn", "--data", str(sim / "hahn.csv"),
+                   "--out", str(tmp_path / "fit")) == 0
+
+
+def test_fit_eseem_default_round_trip_exit_3(tmp_path, capsys):
+    # the default grid spans less than two modulation periods: a data
+    # error, not a traceback
+    sim, fit = tmp_path / "sim", tmp_path / "fit"
+    assert run("simulate", "-e", "eseem", "--out", str(sim)) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", FitWarning)
+        assert run("fit", "-e", "eseem", "--data", str(sim / "eseem.csv"),
+                   "--out", str(fit)) == 3
+    assert "modulation periods" in capsys.readouterr().err
+    assert not any(fit.iterdir())
 
 
 def test_fit_eseem_pipeline(tmp_path):
@@ -422,6 +449,44 @@ def test_spectrum_simulate_zero_concentration_is_flat(tmp_path):
                "--set", "ensemble.n_x_ppb=0") == 0
     ds = DataSet.read_csv(tmp_path / "spectrum.csv")
     assert np.all(ds.columns["i_deer"] == 1.0)
+
+
+@pytest.mark.parametrize("n_nv_ppb", [0.0, 560.0])
+def test_simulate_spectrum_is_the_spectrum_model(tmp_path, n_nv_ppb):
+    # simulate renders the forward model that the fits evaluate, bit for
+    # bit: a spectrum assembled anywhere else fails here
+    assert run("simulate", "-e", "deer-spectrum", "--set", "sweep.df_mhz=2",
+               "--set", f"ensemble.n_nv_ppb={n_nv_ppb}",
+               "--set", "ensemble.n_x_ppb=15", "--out", str(tmp_path)) == 0
+    cols = DataSet.read_csv(tmp_path / "spectrum.csv").columns
+    model = SpectrumModel(FieldConfiguration(37.2, 0.1, 2.0, 1042.0), 2.0,
+                          0.25, 20.0)
+    expected = model.signal(cols["f_b_mhz"],
+                            {"P1": 200.0, "X": 15.0, "NV": n_nv_ppb}, 1.2)
+    np.testing.assert_array_equal(cols["i_deer"], expected)
+    if n_nv_ppb:
+        assert np.any(expected != model.signal(
+            cols["f_b_mhz"], {"P1": 200.0, "X": 15.0}, 1.2))
+
+
+@pytest.mark.parametrize("argv,key", [
+    (("simulate", "-e", "deer-spectrum", "--set", "field.rabi_mhz=80"),
+     "field.rabi_mhz"),
+    (("simulate", "-e", "deer-spectrum", "--set", "field.b0_mt=1000"),
+     "field.b0_mt"),
+    (("fit", "-e", "deer-spectrum", "--set", "fit.rabi_mhz=100"),
+     "fit.rabi_mhz")])
+def test_line_operator_reach_exit_2(tmp_path, capsys, argv, key):
+    # a drive or a field that puts the pump beyond the line operator's
+    # longest period is a configuration error, raised before any output
+    sim, out = tmp_path / "sim", tmp_path / "out"
+    assert run("simulate", "-e", "deer-spectrum", "--out", str(sim)) == 0
+    data = ("--data", str(sim / "spectrum.csv")) if argv[0] == "fit" else ()
+    capsys.readouterr()
+    assert run(*argv, *data, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert key in err and "cap of 25600 MHz" in err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_simulate_dynamics_engine_spectrum(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nvdeer import (DeerFixedParams, FieldConfiguration, LorentzianPeak,
-                    P1_FIVE_LINE_AMPLITUDES,
+                    P1_FIVE_LINE_AMPLITUDES, SpectrumModel,
                     SpectrumTrace, aggregate_estimates, diffusion_coefficient,
                     epr_concentration, epr_double_integral,
                     fit_central_line_two_species, fit_concentration_spectrum,
@@ -678,18 +678,36 @@ def test_analytic_jacobian_matches_three_point(run, fit_models, rng):
 
 def test_line_jacobian_zero_where_transfer_clips():
     # a line of area 1.5 under a pi pulse: before the clip P > 1 on
-    # resonance, so there the flip probability and its slopes are flat
-    fixed = make_fixed([1.5])
+    # resonance, so there its flip probability and slopes are flat; a
+    # second species 3 MHz away keeps the spectrum's own slopes alive
+    model = SpectrumModel(DEFAULT_FIELD, OMEGA, T_B, T_B_DELAY)
+    lines = [((1000.0, 1.5),), ((1003.0, 0.5),)]
     f = np.array([1000.0, 1001.5, 1004.0])
-    p, d_fr, d_gamma = fixed.transfer_gradient(1000.0, 0.3, 1.5, f)
-    np.testing.assert_array_equal(p, fixed.transfer(1000.0, 0.3, 1.5, f))
-    assert p[0] == 1.0 and d_fr[0] == 0.0 and d_gamma[0] == 0.0
-    assert np.all(p[1:] < 1.0)
 
-    def model(x, q):
-        return fixed.transfer(q[0], q[1], 1.5, x), None
+    def signal(x, q, jac=False):
+        # q = (shift, width, n_1, n_2)
+        return model.signal(x, list(q[2:]), q[1], q[0], lines, jac=jac)
 
-    ref = three_point_jacobian(model, f, [1000.0, 0.3])
-    np.testing.assert_allclose(np.column_stack([d_fr, d_gamma]), ref,
-                               rtol=0, atol=1e-6 * np.abs(ref).max())
-    assert np.all(ref[0] == 0.0)
+    q = np.array([0.0, 0.3, 150.0, 40.0])
+    i, slopes = signal(f, q, jac=True)
+    np.testing.assert_array_equal(i, signal(f, q))
+    p = model.transfer(f, lines[0], 0.3)
+    assert p[0] == 1.0 and np.all(p[1:] < 1.0)
+    # where it clips, the first line adds nothing to the shift and width
+    # slopes: they are those of the second line alone
+    alone = signal(f, np.array([0.0, 0.3, 0.0, 40.0]), jac=True)[1]
+    np.testing.assert_array_equal(slopes[0, :2], alone[0, :2])
+    assert np.all(slopes[1:, :2] != alone[1:, :2])
+
+    ref = three_point_jacobian(lambda x, v: (signal(x, v), None), f, q)
+    scale = np.abs(ref).max(axis=0)
+    assert np.all(scale > 0)
+    np.testing.assert_array_less(
+        np.abs(slopes * i[:, None] - ref).max(axis=0), 1e-6 * scale)
+    # ... where the first line alone is flat in shift and width
+    def one(x, v, jac=False):
+        return model.signal(x, v[2], v[1], v[0], lines[0], jac=jac)
+
+    ref_one = three_point_jacobian(lambda x, v: (one(x, v), None), f, q[:3])
+    assert np.all(ref_one[0, :2] == 0.0)
+    assert np.all(one(f, q[:3], jac=True)[1][0, :2] == 0.0)
