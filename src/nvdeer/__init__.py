@@ -38,7 +38,7 @@ from .dynamics import (SinusoidalDrive, compute_sigma, ensemble_transfer,
 from .photophysics import (PulseTrain, RateModelParams, base_rate_matrix,
                            dark_rates, evolve_populations,
                            ground_populations, mixing_coefficients,
-                           rate_generator, signal_fraction,
+                           rate_generator, readout_history, signal_fraction,
                            steady_state_populations, transformed_rates)
 from .fitting import (ConcentrationEstimate, DeerFixedParams, FitResult,
                       aggregate_estimates, diffusion_coefficient,

@@ -33,8 +33,8 @@ from .hamiltonians import (allowed_transitions, apply_orientation,
                            nv_line_table, nv_offaxis_member,
                            nv_onaxis_member, p1_ensemble, p1_group_table,
                            static_hamiltonian, x_member)
-from .photophysics import (PulseTrain, RateModelParams, evolve_populations,
-                           ground_populations, steady_state_populations)
+from .photophysics import (PulseTrain, RateModelParams, ground_populations,
+                           readout_history, steady_state_populations)
 from .spincore import FieldConfiguration
 
 __all__ = ["RunConfig", "load_config", "config_hash", "main"]
@@ -451,13 +451,11 @@ def _simulate_photophysics(cfg):
     member = nv_offaxis_member()
     b_member, _ = apply_orientation(member.orientation, field)
     params = RateModelParams.for_field(b_member, beta=cfg["ensemble.beta"])
-    pops7, n_pulses = steady_state_populations(params, PulseTrain())
-    history = evolve_populations(
-        params, PulseTrain(n_pulses=max(n_pulses, 10)))
+    history, n_pulses = readout_history(params, PulseTrain())
     cols = {"pulse": (np.arange(1, len(history) + 1, dtype=float), "1")}
     for i in range(7):
         cols[f"n{i + 1}"] = (history[:, i], "1")
-    n123 = ground_populations(pops7)
+    n123 = ground_populations(history[n_pulses - 1])
     return _Sim(
         {"steady_state": {"n1": float(n123[0]), "n2": float(n123[1]),
                           "n3": float(n123[2]),

@@ -19,13 +19,17 @@ Ground and excited manifolds mix separately through their own zero-field
 splittings; the singlet is untouched.
 
 Population evolution under a pulse train (laser on, dark wait, readout) is
-a piecewise-constant linear ODE solved with matrix exponentials.
+a piecewise-constant linear ODE solved with matrix exponentials.  They
+come from the scaling-and-squaring [13/13] Pade method (N. J. Higham,
+SIAM J. Matrix Anal. Appl. 26, 1179 (2005); A. H. Al-Mohy and
+N. J. Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009)) in NumPy, so
+that simulate needs no SciPy module.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import constants as c
 from .errors import NumericError
@@ -43,6 +47,7 @@ __all__ = [
     "dark_rates",
     "evolve_populations",
     "ground_populations",
+    "readout_history",
     "steady_state_populations",
     "signal_fraction",
 ]
@@ -56,8 +61,24 @@ _K_ISC_1 = 53.3        # ms=+-1 excited -> singlet
 _K_S0 = 1.0            # singlet -> ms=0 ground
 _K_S1 = 0.7            # singlet -> ms=+-1 ground
 
-# pulses steady_state_populations iterates before giving up
+# pulses readout_history iterates before giving up
 MAX_PULSES = 200
+_GROUND_UNIFORM = np.array([1 / 3, 1 / 3, 1 / 3, 0, 0, 0, 0.0])
+
+# The [13/13] Pade approximant is r = I + 2 (V - U)^-1 U with
+# U = A (A^6 W_0 + W_1) and V = A^6 W_2 + W_3.  Row i holds the
+# coefficients (Higham 2005) of A^6, A^4, A^2 and I in W_i: b13 b11 b9,
+# b7 b5 b3 b1, b12 b10 b8, b6 b4 b2 b0.  theta_13 is the 1-norm up to
+# which the approximant's backward error stays below the double-precision
+# unit roundoff.
+_PADE13 = np.array([
+    [1.0, 16380.0, 40840800.0, 0.0],
+    [33522128640.0, 10559470521600.0, 1187353796428800.0,
+     32382376266240000.0],
+    [182.0, 960960.0, 1323241920.0, 0.0],
+    [670442572800.0, 129060195264000.0, 7771770303897600.0,
+     64764752532480000.0]])
+_THETA13 = 5.371920351148152
 
 
 def base_rate_matrix(beta=0.03):
@@ -176,14 +197,54 @@ def _check_populations(n0):
     return np.clip(n, 0.0, None)
 
 
+def _expm(a):
+    """Exponential of each matrix of a (k, n, n) stack.
+
+    Matrix i is scaled by 2^-s_i, s_i the least s >= 0 with
+    |2^-s a_i|_1 < theta_13 (the exact 1-norm), put through the [13/13]
+    Pade approximant and squared s_i times.
+    """
+    norms = np.abs(a).sum(axis=-2).max(axis=-1)
+    s = np.maximum(np.frexp(norms / _THETA13)[1], 0)
+    a = np.ldexp(a, -s[:, None, None])
+    p = np.empty((4,) + a.shape)        # A^6, A^4, A^2, I
+    np.matmul(a, a, out=p[2])
+    np.matmul(p[2], p[2], out=p[1])
+    np.matmul(p[1], p[2], out=p[0])
+    p[3] = np.eye(a.shape[-1])
+    w = (_PADE13 @ p.reshape(4, -1)).reshape(p.shape)
+    u = a @ (p[0] @ w[0] + w[1])
+    v = p[0] @ w[2] + w[3]
+    # I + 2 (V - U)^-1 U, not (V - U)^-1 (V + U): a level with no outflow
+    # (a zero column of the generator) then keeps an exact unit column,
+    # where the other form is an ulp off and the squarings grow that
+    r = p[3] + 2.0 * np.linalg.solve(v - u, u)
+    out = []
+    for m, n in zip(r, s):
+        for _ in range(n):
+            m = m.dot(m)
+        out.append(m)
+    return np.array(out)
+
+
 def _period_propagators(params, train):
-    """Population propagators of one train period: laser on, the wait to
-    the readout, and the dark tail after it."""
+    """Population propagators of one train period, a (3, 7, 7) stack:
+    laser on, the wait to the readout, and the dark tail after it."""
     k_on = transformed_rates(params)
     m_off = rate_generator(dark_rates(k_on))
     tail = train.period_us - train.laser_on_us - train.readout_wait_us
-    return (expm(rate_generator(k_on) * train.laser_on_us),
-            expm(m_off * train.readout_wait_us), expm(m_off * tail))
+    return _expm(np.stack((rate_generator(k_on) * train.laser_on_us,
+                           m_off * train.readout_wait_us, m_off * tail)))
+
+
+def _readouts(propagators, n):
+    """Populations at the readout instant of each pulse, without end,
+    from the populations n before the first."""
+    u_on, u_wait, u_tail = propagators
+    while True:
+        n = u_wait @ (u_on @ n)
+        yield n
+        n = u_tail @ n
 
 
 def evolve_populations(params, train, n0=None):
@@ -204,16 +265,9 @@ def evolve_populations(params, train, n0=None):
     -------
     ndarray (n_pulses, 7), populations at each readout instant.
     """
-    if n0 is None:
-        n0 = np.array([1 / 3, 1 / 3, 1 / 3, 0, 0, 0, 0.0])
-    n = _check_populations(n0)
-    u_on, u_wait, u_tail = _period_propagators(params, train)
-    out = np.empty((train.n_pulses, N_LEVELS))
-    for i in range(train.n_pulses):
-        n = u_wait @ (u_on @ n)
-        out[i] = n
-        n = u_tail @ n
-    return out
+    n = _check_populations(_GROUND_UNIFORM if n0 is None else n0)
+    return np.array(list(islice(
+        _readouts(_period_propagators(params, train), n), train.n_pulses)))
 
 
 def ground_populations(n):
@@ -226,25 +280,43 @@ def ground_populations(n):
     return g / tot
 
 
+def readout_history(params, train, tol=1e-6):
+    """Readout populations from the uniform ground start until the
+    periodic steady state, and for at least train.n_pulses pulses.
+
+    Returns (history, n_pulses_to_converge): history is (n, 7), one row
+    per pulse, and its row n_pulses_to_converge - 1 is the steady state,
+    the first readout whose ground fractions moved less than tol since
+    the pulse before.  Raises NumericError when MAX_PULSES do not
+    converge.
+    """
+    history, n_conv = [], None
+    prev = ground_populations(_GROUND_UNIFORM)
+    for n_ro in _readouts(_period_propagators(params, train),
+                          _GROUND_UNIFORM):
+        history.append(n_ro)
+        if n_conv is None:
+            g = ground_populations(n_ro)
+            if np.abs(g - prev).max() < tol:
+                n_conv = len(history)
+            elif len(history) == MAX_PULSES:
+                raise NumericError(
+                    f"no steady state after {MAX_PULSES} pulses")
+            prev = g
+        if n_conv is not None and len(history) >= train.n_pulses:
+            return np.array(history), n_conv
+
+
 def steady_state_populations(params, train, tol=1e-6):
     """Iterate the pulse train to its periodic steady state.
 
-    Returns (populations_7vector_at_readout, n_pulses_to_converge) where
-    convergence means the ground fractions move less than tol between
-    consecutive pulses; raises NumericError when MAX_PULSES do not
-    converge.
+    Returns (populations_7vector_at_readout, n_pulses_to_converge), as
+    readout_history finds them; raises NumericError when MAX_PULSES do
+    not converge.
     """
-    u_on, u_wait, u_tail = _period_propagators(params, train)
-    n = np.array([1 / 3, 1 / 3, 1 / 3, 0, 0, 0, 0.0])
-    prev = ground_populations(n)
-    for i in range(1, MAX_PULSES + 1):
-        n_ro = u_wait @ (u_on @ n)
-        n = u_tail @ n_ro
-        g = ground_populations(n_ro)
-        if np.abs(g - prev).max() < tol:
-            return n_ro, i
-        prev = g
-    raise NumericError(f"no steady state after {MAX_PULSES} pulses")
+    history, n_conv = readout_history(params, replace(train, n_pulses=1),
+                                      tol)
+    return history[n_conv - 1], n_conv
 
 
 def signal_fraction(populations, transition=(2, 3), off_axis_share=0.75):

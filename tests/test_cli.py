@@ -398,8 +398,8 @@ _IMPORT_PROBE = """
 import json, sys
 out = sys.argv[1]
 def loaded():
-    return [m for m in ("scipy.signal", "scipy.optimize", "scipy.integrate")
-            if m in sys.modules]
+    return sorted(m for m in sys.modules
+                  if m == "scipy" or m.startswith("scipy."))
 from nvdeer import cli
 seen = {"import": loaded()}
 assert cli.main(["simulate", "-e", "deer-spectrum", "--engine", "dynamics",
@@ -407,19 +407,22 @@ assert cli.main(["simulate", "-e", "deer-spectrum", "--engine", "dynamics",
                  "--set", "sweep.f_min_mhz=1041",
                  "--set", "sweep.f_max_mhz=1043",
                  "--set", "sweep.df_mhz=0.5", "--out", out + "/dyn"]) == 0
+assert cli.main(["simulate", "-e", "deer-spectrum", "--out", out + "/an"]) == 0
+assert cli.main(["simulate", "-e", "photophysics", "--out", out + "/pp"]) == 0
 seen["simulate"] = loaded()
 assert cli.main(["simulate", "-e", "deer-rabi", "--out", out + "/rabi"]) == 0
 assert cli.main(["fit", "-e", "deer-rabi", "--data", out + "/rabi/rabi.csv",
                  "--out", out + "/fit"]) == 0
-seen["fit"] = loaded()
+seen["fit"] = [m for m in ("scipy.signal", "scipy.optimize",
+                           "scipy.integrate") if m in sys.modules]
 print(json.dumps(seen))
 """
 
 
 def test_import_leaves_out_scipy_signal(tmp_path):
-    # simulate starts on numpy and scipy.linalg: scipy.optimize loads on
-    # the first fit, scipy.integrate only on the ODE reference path, and
-    # nothing loads scipy.signal
+    # simulate starts, and runs the NV steady state on both engines, on
+    # numpy alone: scipy.optimize loads on the first fit, scipy.integrate
+    # only on the ODE reference path, and nothing loads scipy.signal
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE,
                            str(tmp_path)], capture_output=True, text=True,
                           timeout=300, env=dict(os.environ,

@@ -1,11 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from nvdeer import (PulseTrain, RateModelParams, apply_orientation,
-                    base_rate_matrix, dark_rates, evolve_populations,
-                    ground_populations, mixing_coefficients,
-                    nv_offaxis_member, rate_generator, signal_fraction,
+from nvdeer import (FieldConfiguration, PulseTrain, RateModelParams,
+                    apply_orientation, base_rate_matrix, dark_rates,
+                    evolve_populations, ground_populations,
+                    mixing_coefficients, nv_offaxis_member, nv_onaxis_member,
+                    rate_generator, readout_history, signal_fraction,
                     steady_state_populations, transformed_rates)
+from nvdeer.photophysics import _expm, _period_propagators
 
 
 def member_field_vector(field):
@@ -73,6 +77,65 @@ def test_dark_rates_remove_pumping_only():
 def test_rate_generator_conserves_probability():
     m = rate_generator(base_rate_matrix(0.03))
     assert np.allclose(m.sum(axis=0), 0.0, atol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def scaled_generators():
+    """Pumped and dark rate generators of both NV members over beta, b0
+    and tilt, each times 0.01, 1.5, 5 and 153.5 us: a (960, 7, 7) stack."""
+    out = []
+    for beta, b0, tilt in itertools.product((0, 0.03, 0.3, 3),
+                                            (5, 37.2, 100),
+                                            (0, 0.1, 5, 54.7356, 90)):
+        field = FieldConfiguration(b0, tilt, 2.0, 1042.0)
+        for member in (nv_onaxis_member(), nv_offaxis_member()):
+            b, _ = apply_orientation(member.orientation, field)
+            k = transformed_rates(RateModelParams.for_field(b, beta=beta))
+            for m in (rate_generator(k), rate_generator(dark_rates(k))):
+                out += [m * t for t in (0.01, 1.5, 5.0, 153.5)]
+    return np.array(out)
+
+
+def test_expm_matches_scipy(scaled_generators):
+    from scipy.linalg import expm
+    for a, got in zip(scaled_generators, _expm(scaled_generators)):
+        want = expm(a)
+        bound = 1e-12 * max(1.0, np.abs(want).sum(axis=0).max())
+        assert np.abs(got - want).max() <= bound
+
+
+def test_expm_of_generators_is_nonnegative(scaled_generators):
+    # the exponential of a Markov generator is entrywise non-negative
+    assert np.all(_expm(scaled_generators) >= 0.0)
+
+
+def test_expm_zero_is_identity():
+    np.testing.assert_array_equal(_expm(np.zeros((2, 7, 7))),
+                                  np.broadcast_to(np.eye(7), (2, 7, 7)))
+
+
+def test_expm_batch_equals_single_calls(field):
+    params = RateModelParams.for_field(member_field_vector(field))
+    k = transformed_rates(params)
+    m_off = rate_generator(dark_rates(k))
+    stack = np.array([rate_generator(k) * 5.0, m_off * 1.5, m_off * 153.5])
+    singles = [_expm(a[None])[0] for a in stack]
+    np.testing.assert_array_equal(_expm(stack), singles)
+    np.testing.assert_array_equal(_period_propagators(params, PulseTrain()),
+                                  singles)
+
+
+@pytest.mark.parametrize("beta,n_pulses", [(0.03, 10), (0.03, 2),
+                                           (0.0005, 3)])
+def test_readout_history_is_evolve_then_steady_state(field, beta, n_pulses):
+    params = RateModelParams.for_field(member_field_vector(field), beta=beta)
+    history, n_conv = readout_history(params, PulseTrain(n_pulses=n_pulses))
+    assert len(history) == max(n_conv, n_pulses)
+    np.testing.assert_array_equal(
+        history, evolve_populations(params, PulseTrain(n_pulses=len(history))))
+    steady, n_ss = steady_state_populations(params, PulseTrain())
+    assert n_ss == n_conv
+    np.testing.assert_array_equal(steady, history[n_conv - 1])
 
 
 def test_evolve_no_pumping_is_static():
