@@ -189,6 +189,8 @@ def _coerce(sect, key, value):
     except (TypeError, ValueError):
         raise ConfigError(
             f"{sect}.{key}: cannot interpret {value!r} as {conv.__name__}")
+    if conv is float and not np.isfinite(coerced):
+        raise ConfigError(f"{sect}.{key}: must be finite (got {coerced!r})")
     ok, msg = validator(coerced)
     if not ok:
         raise ConfigError(f"{sect}.{key}: {msg} (got {coerced!r})")

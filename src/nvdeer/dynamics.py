@@ -9,19 +9,22 @@ integrated in the lab frame.  Two integrator paths:
   The reference path.
 * "magnus": a period-power (Floquet) propagator.  The drive repeats
   every period T = 1/f_B, so a duration t = n T + r has
-  U(t) = U(r) U(T)^n (Shirley, Phys. Rev. 138, B979 (1965)).  U(T) and
-  U(r) each take `substeps` (SUBSTEPS = 40 by default) fixed steps of the
-  three-node Gauss-Legendre commutator-corrected sixth-order Magnus
-  integrator (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)),
-  with dt = T/substeps and r/substeps, and U(T)^n comes from binary
-  powering.  A row costs 2*substeps Magnus steps (one Hermitian
-  eigendecomposition each) plus about log2 n matrix squarings, however
-  long the pulse; rows are batched over drive frequencies or pulse
-  lengths, and every row is computed on its own, so a spectrum does not
-  depend on how its grid is split.  Agrees with the ode path to better
-  than 1e-6 on the propagator entries at the default settings over any
-  in-scope duration (a plain midpoint rule stalls near 2e-4, and the
-  two-node fourth-order step only reaches ~1e-6 per 0.1 us).
+  U(t) = U(r) U(T)^n (Shirley, Phys. Rev. 138, B979 (1965)).  U(T) takes
+  `substeps` (SUBSTEPS = 40 by default) fixed steps dt = T/substeps of
+  the three-node Gauss-Legendre commutator-corrected sixth-order Magnus
+  integrator (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)).
+  U(r) is the running product of that same pass after its first
+  j = min(floor(r/dt), substeps - 1) steps, times one more step of
+  r - j dt, and U(T)^n comes from binary powering.  A row costs
+  substeps + 1 Magnus steps (one Hermitian eigendecomposition each)
+  plus about log2 n matrix squarings, however long the pulse, and pulse
+  lengths that share one drive frequency share its pass; rows are
+  batched over drive frequencies or pulse lengths, and every row is
+  computed on its own, so a spectrum does not depend on how its grid is
+  split.  Agrees with the ode path to better than 1e-6 on the propagator
+  entries at the default settings over any in-scope duration (a plain
+  midpoint rule stalls near 2e-4, and the two-node fourth-order step
+  only reaches ~1e-6 per 0.1 us).
 
 Both paths take the drive as a SinusoidalDrive.  Transition
 probabilities are always computed from pure initial eigenstates,
@@ -54,7 +57,7 @@ _GL1 = 0.5 - np.sqrt(15.0) / 10.0
 _GL2 = 0.5
 _GL3 = 0.5 + np.sqrt(15.0) / 10.0
 
-# Magnus steps per drive period (and again for the remainder of a pulse)
+# Magnus steps per drive period
 SUBSTEPS = 40
 # relative tolerance of the ODE reference path
 ODE_RTOL = 1e-8
@@ -112,16 +115,17 @@ def _commutator(x, y):
     return x @ y - y @ x
 
 
-def _magnus_steps(h0, v_amp, freqs, dt_us, substeps):
-    """Batched U(substeps * dt) from t = 0 for H = h0 + v_amp sin(2 pi f t).
+def _magnus_step(h0, v_amp, w2p, t0, dt):
+    """Batched propagator of one step from t0 to t0 + dt for
+    H = h0 + v_amp sin(w2p t).
 
-    h0 and v_amp are (d, d) and shared by every row; freqs and dt_us are
-    the per-row drive frequency and step (all > 0).  Every row takes
-    exactly `substeps` steps, so a row's result does not depend on the
-    rows batched with it.
+    h0 and v_amp are (d, d) and shared by every row; w2p (angular drive
+    frequency), t0 and dt (dt > 0) are per row, and each row is computed on
+    its own, so a row's result does not depend on the rows batched with
+    it.
 
     Sixth-order Magnus step built from the Hamiltonian at the three
-    Gauss-Legendre nodes of each step (Blanes/Casas/Oteo/Ros scheme):
+    Gauss-Legendre nodes of the step (Blanes/Casas/Oteo/Ros scheme):
     with a_k = -2 pi i dt H(t_k),
 
         b1 = a2
@@ -132,30 +136,24 @@ def _magnus_steps(h0, v_amp, freqs, dt_us, substeps):
         Omega = b1 + b3/12 + 1/240 [-20 b1 - b3 + c1, b2 + c2]
 
     Omega is anti-Hermitian, so exp(Omega) is evaluated exactly through
-    one Hermitian eigendecomposition of i Omega / (2 pi dt) per step.
+    one Hermitian eigendecomposition of i Omega / (2 pi dt) per row.
     """
-    d = h0.shape[0]
-    u = np.broadcast_to(np.eye(d, dtype=complex), (len(freqs), d, d))
-    w2p = 2 * np.pi * freqs
-    scale = -2j * np.pi * dt_us[:, None, None]
-    for k in range(substeps):
-        t = k * dt_us
-        s1 = np.sin(w2p * (t + _GL1 * dt_us))[:, None, None]
-        s2 = np.sin(w2p * (t + _GL2 * dt_us))[:, None, None]
-        s3 = np.sin(w2p * (t + _GL3 * dt_us))[:, None, None]
-        b1 = scale * (h0 + s2 * v_amp)
-        b2 = (np.sqrt(15.0) / 3.0) * scale * ((s3 - s1) * v_amp)
-        b3 = (10.0 / 3.0) * scale * ((s3 - 2.0 * s2 + s1) * v_amp)
-        c1 = _commutator(b1, b2)
-        c2 = (-1.0 / 60.0) * _commutator(b1, 2.0 * b3 + c1)
-        omega = (b1 + b3 / 12.0
-                 + _commutator(-20.0 * b1 - b3 + c1, b2 + c2) / 240.0)
-        heff = omega / scale
-        heff = 0.5 * (heff + np.swapaxes(heff.conj(), 1, 2))
-        w, vecs = np.linalg.eigh(heff)
-        phase = np.exp(-2j * np.pi * w * dt_us[:, None])
-        u = vecs @ (phase[:, :, None] * (np.swapaxes(vecs.conj(), 1, 2) @ u))
-    return u
+    scale = -2j * np.pi * dt[:, None, None]
+    s1 = np.sin(w2p * (t0 + _GL1 * dt))[:, None, None]
+    s2 = np.sin(w2p * (t0 + _GL2 * dt))[:, None, None]
+    s3 = np.sin(w2p * (t0 + _GL3 * dt))[:, None, None]
+    b1 = scale * (h0 + s2 * v_amp)
+    b2 = (np.sqrt(15.0) / 3.0) * scale * ((s3 - s1) * v_amp)
+    b3 = (10.0 / 3.0) * scale * ((s3 - 2.0 * s2 + s1) * v_amp)
+    c1 = _commutator(b1, b2)
+    c2 = (-1.0 / 60.0) * _commutator(b1, 2.0 * b3 + c1)
+    omega = (b1 + b3 / 12.0
+             + _commutator(-20.0 * b1 - b3 + c1, b2 + c2) / 240.0)
+    heff = omega / scale
+    heff = 0.5 * (heff + np.swapaxes(heff.conj(), 1, 2))
+    w, vecs = np.linalg.eigh(heff)
+    phase = np.exp(-2j * np.pi * w * dt[:, None])
+    return (vecs * phase[:, None, :]) @ np.swapaxes(vecs.conj(), 1, 2)
 
 
 def _power(u, n):
@@ -177,26 +175,46 @@ def _floquet_propagator(h0, v_amp, freqs, durations_us, substeps):
     """Batched U(duration) from t = 0 for H = h0 + v_amp sin(2 pi f t).
 
     The drive repeats every period T = 1/f, so with duration = n T + r,
-    U(duration) = U(r) U(T)^n.  U(T) and U(r) each take `substeps` Magnus
-    steps in one shared pass, and U(T)^n costs about log2 n squarings.
-    freqs is (nb,) or one frequency shared by the nb durations.  Rows with
-    r = 0 use the identity for U(r), so a zero duration is exact.
+    U(duration) = U(r) U(T)^n, and U(T)^n costs about log2 n squarings.
+    U(T) takes `substeps` Magnus steps of dt = T/substeps in one pass.
+    U(r) is the running product of that pass after its first
+    j = min(floor(r/dt), substeps - 1) steps, times one more step of
+    r - j dt (<= dt), so a row costs substeps + 1 eigendecompositions.
+    freqs is (nb,) or one frequency shared by the nb durations, whose
+    pass is then made once.  Rows with no tail skip the extra step, so a
+    zero duration is exactly the identity.
     """
     if substeps < 2:
         raise ValueError("substeps must be >= 2")
     f = np.asarray(freqs, dtype=float)
     dur = np.asarray(durations_us, dtype=float)
-    n = np.floor(dur * f).astype(np.int64)
+    # non-finite inputs give non-finite periods, and a period count past
+    # int64 would wrap negative and never end the powering loop
+    periods = dur * f
+    if not np.all(np.abs(periods) < 2.0 ** 62):
+        raise ValueError("drive frequencies and durations must be finite, "
+                         "with fewer than 2**62 periods per duration")
+    n = np.floor(periods).astype(np.int64)
     rem = np.maximum(dur - n / f, 0.0)
-    live = rem > 0
-    f_rem = np.broadcast_to(f, dur.shape)[live]
-    u = _magnus_steps(h0, v_amp, np.concatenate([f, f_rem]),
-                      np.concatenate([1.0 / f, rem[live]]) / substeps,
-                      substeps)
+    # frequency row of each duration
+    row = np.broadcast_to(np.arange(len(f)), dur.shape)
+    dt = (1.0 / f) / substeps
+    w2p = 2 * np.pi * f
+    j = np.minimum(np.floor(rem / dt[row]), substeps - 1).astype(np.int64)
     d = h0.shape[0]
-    u_rem = np.broadcast_to(np.eye(d, dtype=complex), (len(dur), d, d)).copy()
-    u_rem[live] = u[len(f):]
-    return u_rem @ _power(u[:len(f)], n)
+    u = np.broadcast_to(np.eye(d, dtype=complex), (len(f), d, d))
+    u_rem = np.empty((len(dur), d, d), dtype=complex)
+    for k in range(substeps):
+        at = j == k
+        u_rem[at] = u[row[at]]
+        u = _magnus_step(h0, v_amp, w2p, k * dt, dt) @ u
+    tail = np.maximum(rem - j * dt[row], 0.0)
+    live = tail > 0
+    if live.any():
+        r = row[live]
+        u_rem[live] = _magnus_step(h0, v_amp, w2p[r], j[live] * dt[r],
+                                   tail[live]) @ u_rem[live]
+    return u_rem @ _power(u, n)
 
 
 def propagate_unitary(h0, drive, duration_us, method="magnus",
@@ -210,12 +228,12 @@ def propagate_unitary(h0, drive, duration_us, method="magnus",
     duration_us : float
     method : "magnus" | "ode" (the reference, at ODE_RTOL)
     substeps : int
-        Magnus steps for the one-period propagator and again for the
-        remainder r = duration mod T (>= 2).
+        Magnus steps per drive period T (>= 2); the remainder
+        r = duration mod T reuses the period's steps plus one of its own.
     """
     h0 = np.asarray(h0, dtype=complex)
-    if duration_us < 0:
-        raise ValueError("duration_us must be >= 0")
+    if not np.isfinite(duration_us) or duration_us < 0:
+        raise ValueError("duration_us must be finite and >= 0")
     if duration_us == 0:
         return np.eye(h0.shape[0], dtype=complex)
     if method == "ode":
@@ -247,16 +265,16 @@ def transition_spectrum(h0, v_amp, f_grid_mhz, t_b_us, populations,
     f = np.asarray(f_grid_mhz, dtype=float)
     if f.ndim != 1 or len(f) == 0:
         raise ValueError("f_grid_mhz must be a non-empty 1-D array")
-    if np.any(f <= 0):
-        raise ValueError("drive frequencies must be positive")
+    if not np.all(np.isfinite(f) & (f > 0)):
+        raise ValueError("drive frequencies must be finite and positive")
     pop = np.asarray(populations, dtype=float)
     d = h0.shape[0]
     if pop.shape != (d,):
         raise ValueError(f"populations must have length {d}")
     if np.any(pop < 0) or not np.isclose(pop.sum(), 1.0, atol=1e-6):
         raise ValueError("populations must be non-negative and sum to 1")
-    if t_b_us < 0:
-        raise ValueError("t_b_us must be >= 0")
+    if not np.isfinite(t_b_us) or t_b_us < 0:
+        raise ValueError("t_b_us must be finite and >= 0")
 
     u = _eigenbasis_propagator(h0, v_amp, f, np.full(len(f), float(t_b_us)),
                                substeps)
@@ -316,11 +334,13 @@ def simulate_rabi(system, field, t_grid_us):
     t = np.asarray(t_grid_us, dtype=float)
     if t.ndim != 1 or len(t) == 0:
         raise ValueError("t_grid_us must be a non-empty 1-D array")
+    if not np.all(np.isfinite(t)):
+        raise ValueError("t_grid_us must be finite")
     if np.any(np.diff(t) < 0) or t[0] < 0:
         raise ValueError("t_grid_us must be sorted and non-negative")
     f_b = field.drive_freq_mhz
-    if f_b <= 0:
-        raise ValueError("field.drive_freq_mhz must be positive")
+    if not np.isfinite(f_b) or f_b <= 0:
+        raise ValueError("field.drive_freq_mhz must be finite and positive")
     trans = allowed_transitions(system, field)
     if not trans:
         raise ValueError("no drive-allowed transition for this member")

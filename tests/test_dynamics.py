@@ -6,11 +6,13 @@ import sys
 import numpy as np
 import pytest
 
-from nvdeer import (SinusoidalDrive, compute_sigma, ensemble_transfer,
-                    nv_offaxis_member, nv_onaxis_member, p1_ensemble,
-                    propagate_unitary, rabi_probability, simulate_rabi,
-                    spin_operators, static_hamiltonian, transition_spectrum,
-                    x_member)
+from nvdeer import (FieldConfiguration, SinusoidalDrive, compute_sigma,
+                    ensemble_transfer, nv_offaxis_member, nv_onaxis_member,
+                    p1_ensemble, propagate_unitary, rabi_probability,
+                    simulate_rabi, spin_operators, static_hamiltonian,
+                    transition_spectrum, x_member)
+from nvdeer.dynamics import (SUBSTEPS, _eigenbasis_propagator,
+                             _floquet_propagator, _power)
 from nvdeer.hamiltonians import drive_amplitude_matrix
 
 
@@ -134,3 +136,107 @@ def test_transition_spectrum_independent_of_grid_split(field):
     halves = np.concatenate([transition_spectrum(h0, v_amp, f[:12], 0.25, pop),
                              transition_spectrum(h0, v_amp, f[12:], 0.25, pop)])
     assert whole.tobytes() == halves.tobytes()
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), 1e20])
+def test_unbounded_durations_raise(field, bad):
+    # an infinite, undefined or int64-overflowing period count used to
+    # keep the binary powering loop running for ever
+    h0, drive = _two_level(1.3, 2.0, 1042.0)
+    with pytest.raises(ValueError):
+        propagate_unitary(h0, drive, bad)
+    if not np.isfinite(bad):
+        with pytest.raises(ValueError):
+            propagate_unitary(h0, drive, bad, method="ode")
+    member = x_member()
+    h0 = static_hamiltonian(member, field)
+    v_amp = drive_amplitude_matrix(member, field)
+    pop = np.full(2, 0.5)
+    with pytest.raises(ValueError):
+        transition_spectrum(h0, v_amp, np.array([1042.0]), bad, pop)
+    with pytest.raises(ValueError):
+        simulate_rabi(member, field, np.array([0.0, 0.1, bad]))
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+def test_non_finite_drive_frequencies_raise(field, bad):
+    member = x_member()
+    h0 = static_hamiltonian(member, field)
+    v_amp = drive_amplitude_matrix(member, field)
+    with pytest.raises(ValueError):
+        transition_spectrum(h0, v_amp, np.array([1042.0, bad]), 0.25,
+                            np.full(2, 0.5))
+    with pytest.raises(ValueError):
+        simulate_rabi(member, field.replace(drive_freq_mhz=bad),
+                      np.array([0.0, 0.1]))
+
+
+# at 1024 MHz every n T is exact in binary, so r = 0 is met exactly; the
+# field is scaled with the carrier to keep the lines near it
+_EDGE_F = 1024.0
+_EDGE_FIELD = FieldConfiguration(37.2 * _EDGE_F / 1042.0, 0.1, 2.0, _EDGE_F)
+
+
+@pytest.mark.parametrize("member", [p1_ensemble(merge_off_axis=True)[0],
+                                    x_member()], ids=["P1", "X"])
+def test_magnus_remainder_edges(member):
+    # remainders at, just past and a step either side of the substep
+    # boundaries, for sub-period pulses (n = 0) and for n = 7
+    h0 = static_hamiltonian(member, _EDGE_FIELD).astype(complex)
+    v_amp = drive_amplitude_matrix(member, _EDGE_FIELD)
+    drive = SinusoidalDrive(v_amp, _EDGE_F)
+    period = 1.0 / _EDGE_F
+    eye = np.eye(h0.shape[0])
+    cases = [(n, x) for n in (0, 7)
+             for x in (0.0, 1e-9, 0.025, 0.5, 0.975, 1.0 - 1e-12) if n or x]
+    for n, x in cases:
+        t = n * period + x * period
+        u = propagate_unitary(h0, drive, t)
+        u_ref = propagate_unitary(h0, drive, t, method="ode")
+        assert np.max(np.abs(u - u_ref)) < 1e-6, (n, x)
+        assert np.max(np.abs(u @ u.conj().T - eye)) < 1e-12, (n, x)
+    u_period = _floquet_propagator(h0, v_amp, [_EDGE_F], [period], SUBSTEPS)
+    u_whole = _floquet_propagator(h0, v_amp, [_EDGE_F], [7 * period],
+                                  SUBSTEPS)
+    assert u_whole.tobytes() == _power(u_period, np.array([7])).tobytes()
+
+
+@pytest.fixture
+def eigh_matrices(monkeypatch):
+    """Matrices decomposed by numpy.linalg.eigh, one entry per call."""
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        sizes.append(int(np.prod(np.shape(a)[:-2], dtype=int)))
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return sizes
+
+
+def test_transition_spectrum_work_count(field, eigh_matrices):
+    # one Magnus pass per frequency plus its remainder's step; the extra
+    # matrix is h0's own eigenbasis
+    member = p1_ensemble(merge_off_axis=True)[0]
+    h0 = static_hamiltonian(member, field)
+    v_amp = drive_amplitude_matrix(member, field)
+    f = np.linspace(1040.0, 1058.0, 25)
+    transition_spectrum(h0, v_amp, f, 0.25, np.full(6, 1.0 / 6.0))
+    assert sum(eigh_matrices) <= len(f) * (SUBSTEPS + 1) + 1
+
+
+def test_simulate_rabi_work_count_and_rows(field, eigh_matrices):
+    # pulse lengths at one carrier share its period pass, and each row
+    # equals the same pulse propagated on its own
+    member = x_member()
+    t = np.linspace(0.0, 2.0, 161)
+    trace = simulate_rabi(member, field, t)
+    assert sum(eigh_matrices) <= SUBSTEPS + len(t)
+    h0 = static_hamiltonian(member, field)
+    v_amp = drive_amplitude_matrix(member, field)
+    rows = [_eigenbasis_propagator(h0, v_amp, [field.drive_freq_mhz], [ti],
+                                   SUBSTEPS)[0] for ti in t]
+    p = np.clip(1.0 - np.abs(np.array([u[0, 0] for u in rows])) ** 2,
+                0.0, 1.0)
+    assert trace.y.tobytes() == p.tobytes()
