@@ -45,7 +45,7 @@ print(f"{len(f_grid)} frequency points, {len(rows)} P1 lines")
 # numeric branch: lab-frame propagation of every ensemble member
 t0 = time.time()
 members = p1_ensemble(merge_off_axis=True)
-p_num = ensemble_transfer(members, field, f_grid, T_B, substeps=32)
+p_num = ensemble_transfer(members, field, f_grid, T_B)
 print(f"numeric P_B done in {time.time() - t0:.1f} s")
 
 # map the numeric P_B to echo contrast at the working concentration

@@ -21,18 +21,17 @@ from .errors import (ConfigError, DataError, DataQualityWarning, FitError,
 from .spincore import (FieldConfiguration, Orientation, SpinOperatorSet,
                        eigensystem, orientation_families, rotation_matrix,
                        spin_operators, tensor_embed)
-from .hamiltonians import (NVParams, P1Params, SpinSystem, XParams,
-                           allowed_transitions, apply_orientation, build_nv,
-                           build_p1, build_x, nv_line_table,
-                           nv_offaxis_member, nv_onaxis_member,
-                           p1_ensemble, p1_group_table, p1_line_table,
-                           static_hamiltonian, transition_frequency,
+from .hamiltonians import (SpinSystem, allowed_transitions,
+                           apply_orientation, build_nv, build_p1, build_x,
+                           nv_line_table, nv_offaxis_member,
+                           nv_onaxis_member, p1_ensemble, p1_group_table,
+                           p1_line_table, static_hamiltonian,
                            x_line_frequency, x_member)
 from .trace import SpectrumTrace
 from .deer import (LorentzianPeak, LorentzianPeakSet,
                    P1_FIVE_LINE_AMPLITUDES, SpectrumModel,
                    deer_signal_from_transfer, detection_limit_ppb,
-                   lorentzian, population_transfer, rabi_probability)
+                   population_transfer, rabi_probability)
 from .dynamics import (SinusoidalDrive, compute_sigma, ensemble_transfer,
                        propagate_unitary, simulate_rabi, transition_spectrum)
 from .photophysics import (PulseTrain, RateModelParams, base_rate_matrix,
@@ -47,4 +46,4 @@ from .fitting import (ConcentrationEstimate, DeerFixedParams, FitResult,
                       fit_concentration_spectrum, fit_deer_decay,
                       fit_deer_spectrum, fit_eseem, fit_hahn_decay,
                       fit_lorentzian_peaks, fit_rabi_frequency,
-                      fit_saturation, nv_count)
+                      fit_saturation)

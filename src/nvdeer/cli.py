@@ -22,7 +22,8 @@ import numpy as np
 from . import __version__
 from .datasets import DataSet, read_summary, write_plot_spec, write_summary
 from .deer import SpectrumModel, deer_signal_from_transfer, rabi_probability
-from .dynamics import compute_sigma, ensemble_transfer, simulate_rabi
+from .dynamics import (MAX_PERIODS, compute_sigma, ensemble_transfer,
+                       simulate_rabi)
 from .errors import (ConfigError, DataError, FitError, IntegrationError,
                      KernelReachError, NumericError)
 from .fitting import (diffusion_coefficient, epr_concentration,
@@ -307,6 +308,15 @@ def _field_error(cfg, what):
         f"b0 = {cfg['field.b0_mt']} mT, tilt {cfg['field.tilt_deg']} deg")
 
 
+def _check_periods(keys, durations_us, freqs_mhz):
+    """ConfigError naming `keys` for a pulse of MAX_PERIODS or more."""
+    periods = np.max(durations_us * np.asarray(freqs_mhz))
+    if periods >= MAX_PERIODS:
+        raise ConfigError(f"{keys}: the dynamics engine propagates fewer "
+                          f"than 2**62 drive periods per pulse (got "
+                          f"{periods:.3g})")
+
+
 def _simulate_deer_spectrum(cfg):
     field = cfg.field_config()
     fgrid = cfg.f_grid()
@@ -331,6 +341,7 @@ def _simulate_deer_spectrum(cfg):
                 f"ensemble.gamma_mhz: the dynamics engine models zero-width "
                 f"lines, set it to 0 (got {gamma!r})")
         t_b = cfg["timing.t_b_us"]
+        _check_periods("timing.t_b_us, sweep.f_max_mhz", t_b, fgrid)
         transfers = {
             "P1": ensemble_transfer(p1_ensemble(merge_off_axis=True), field,
                                     fgrid, t_b),
@@ -384,8 +395,10 @@ def _simulate_deer_rabi(cfg):
         lines = allowed_transitions(member, field)
         if not lines:
             raise _field_error(cfg, "the X species")
+        carrier = lines[0][0]
+        _check_periods("sweep.t_max_us, field.b0_mt", t, carrier)
         trace = simulate_rabi(
-            member, field.replace(drive_freq_mhz=lines[0][0]), t)
+            member, field.replace(drive_freq_mhz=carrier), t)
         y = trace.y
     else:
         y = rabi_probability(field.rabi_mhz, 0.0, t)

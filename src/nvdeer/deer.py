@@ -40,7 +40,6 @@ __all__ = [
     "SpectrumModel",
     "LorentzianPeak",
     "LorentzianPeakSet",
-    "lorentzian",
     "rabi_probability",
     "population_transfer",
     "line_transfer_gradient",
@@ -118,23 +117,6 @@ class LorentzianPeakSet:
 
     def __getitem__(self, i):
         return self.peaks[i]
-
-
-def lorentzian(peaks, xi_mhz):
-    """Spectral density of a peak set at frequencies xi (1/MHz units).
-
-    L(xi) = sum_i (A_i / pi) * gamma_i / (gamma_i^2 + (xi - f_i)^2).
-    Zero-width peaks contribute no density here (they are handled as
-    deltas by population_transfer); integrating L over xi for gamma > 0
-    peaks returns their total area.
-    """
-    xi = np.asarray(xi_mhz, dtype=float)
-    out = np.zeros_like(xi, dtype=float)
-    for p in peaks:
-        if p.gamma_mhz > 0:
-            out = out + (p.amp / np.pi) * p.gamma_mhz / (
-                p.gamma_mhz**2 + (xi - p.f_r_mhz)**2)
-    return out
 
 
 def rabi_probability(omega_mhz, detuning_mhz, t_b_us):

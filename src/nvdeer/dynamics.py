@@ -10,13 +10,13 @@ integrated in the lab frame.  Two integrator paths:
 * "magnus": a period-power (Floquet) propagator.  The drive repeats
   every period T = 1/f_B, so a duration t = n T + r has
   U(t) = U(r) U(T)^n (Shirley, Phys. Rev. 138, B979 (1965)).  U(T) takes
-  `substeps` (SUBSTEPS = 40 by default) fixed steps dt = T/substeps of
-  the three-node Gauss-Legendre commutator-corrected sixth-order Magnus
-  integrator (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)).
+  SUBSTEPS (= 40) fixed steps dt = T/SUBSTEPS of the three-node
+  Gauss-Legendre commutator-corrected sixth-order Magnus integrator
+  (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)).
   U(r) is the running product of that same pass after its first
-  j = min(floor(r/dt), substeps - 1) steps, times one more step of
+  j = min(floor(r/dt), SUBSTEPS - 1) steps, times one more step of
   r - j dt, and U(T)^n comes from binary powering.  A row costs
-  substeps + 1 Magnus steps (one Hermitian eigendecomposition each)
+  SUBSTEPS + 1 Magnus steps (one Hermitian eigendecomposition each)
   plus about log2 n matrix squarings, however long the pulse, and pulse
   lengths that share one drive frequency share its pass; rows are
   batched over drive frequencies or pulse lengths, and every row is
@@ -59,6 +59,9 @@ _GL3 = 0.5 + np.sqrt(15.0) / 10.0
 
 # Magnus steps per drive period
 SUBSTEPS = 40
+# a duration spans fewer drive periods than this, so that its period
+# count casts to int64 exactly and the powering of U(T) ends
+MAX_PERIODS = 2.0 ** 62
 # relative tolerance of the ODE reference path
 ODE_RTOL = 1e-8
 
@@ -171,40 +174,38 @@ def _power(u, n):
         base = base @ base
 
 
-def _floquet_propagator(h0, v_amp, freqs, durations_us, substeps):
+def _floquet_propagator(h0, v_amp, freqs, durations_us):
     """Batched U(duration) from t = 0 for H = h0 + v_amp sin(2 pi f t).
 
     The drive repeats every period T = 1/f, so with duration = n T + r,
     U(duration) = U(r) U(T)^n, and U(T)^n costs about log2 n squarings.
-    U(T) takes `substeps` Magnus steps of dt = T/substeps in one pass.
-    U(r) is the running product of that pass after its first
-    j = min(floor(r/dt), substeps - 1) steps, times one more step of
-    r - j dt (<= dt), so a row costs substeps + 1 eigendecompositions.
+    U(T) takes SUBSTEPS (= 40) Magnus steps of dt = T/SUBSTEPS in one
+    pass.  U(r) is the running product of that pass after its first
+    j = min(floor(r/dt), SUBSTEPS - 1) steps, times one more step of
+    r - j dt (<= dt), so a row costs SUBSTEPS + 1 eigendecompositions.
     freqs is (nb,) or one frequency shared by the nb durations, whose
     pass is then made once.  Rows with no tail skip the extra step, so a
     zero duration is exactly the identity.
     """
-    if substeps < 2:
-        raise ValueError("substeps must be >= 2")
     f = np.asarray(freqs, dtype=float)
     dur = np.asarray(durations_us, dtype=float)
     # non-finite inputs give non-finite periods, and a period count past
     # int64 would wrap negative and never end the powering loop
     periods = dur * f
-    if not np.all(np.abs(periods) < 2.0 ** 62):
+    if not np.all(np.abs(periods) < MAX_PERIODS):
         raise ValueError("drive frequencies and durations must be finite, "
                          "with fewer than 2**62 periods per duration")
     n = np.floor(periods).astype(np.int64)
     rem = np.maximum(dur - n / f, 0.0)
     # frequency row of each duration
     row = np.broadcast_to(np.arange(len(f)), dur.shape)
-    dt = (1.0 / f) / substeps
+    dt = (1.0 / f) / SUBSTEPS
     w2p = 2 * np.pi * f
-    j = np.minimum(np.floor(rem / dt[row]), substeps - 1).astype(np.int64)
+    j = np.minimum(np.floor(rem / dt[row]), SUBSTEPS - 1).astype(np.int64)
     d = h0.shape[0]
     u = np.broadcast_to(np.eye(d, dtype=complex), (len(f), d, d))
     u_rem = np.empty((len(dur), d, d), dtype=complex)
-    for k in range(substeps):
+    for k in range(SUBSTEPS):
         at = j == k
         u_rem[at] = u[row[at]]
         u = _magnus_step(h0, v_amp, w2p, k * dt, dt) @ u
@@ -217,8 +218,7 @@ def _floquet_propagator(h0, v_amp, freqs, durations_us, substeps):
     return u_rem @ _power(u, n)
 
 
-def propagate_unitary(h0, drive, duration_us, method="magnus",
-                      substeps=SUBSTEPS):
+def propagate_unitary(h0, drive, duration_us, method="magnus"):
     """Propagator U(duration) for H(t) = h0 + drive(t).
 
     Parameters
@@ -226,10 +226,8 @@ def propagate_unitary(h0, drive, duration_us, method="magnus",
     h0 : (d, d) Hermitian static Hamiltonian, MHz.
     drive : SinusoidalDrive
     duration_us : float
-    method : "magnus" | "ode" (the reference, at ODE_RTOL)
-    substeps : int
-        Magnus steps per drive period T (>= 2); the remainder
-        r = duration mod T reuses the period's steps plus one of its own.
+    method : "magnus" (SUBSTEPS steps per drive period) | "ode" (the
+        reference, at ODE_RTOL)
     """
     h0 = np.asarray(h0, dtype=complex)
     if not np.isfinite(duration_us) or duration_us < 0:
@@ -240,21 +238,20 @@ def propagate_unitary(h0, drive, duration_us, method="magnus",
         return _propagate_ode(h0, drive, duration_us)
     if method == "magnus":
         return _floquet_propagator(h0, drive.amp_matrix, [drive.freq_mhz],
-                                   [duration_us], substeps)[0]
+                                   [duration_us])[0]
     raise ValueError(f"unknown method {method!r}")
 
 
-def _eigenbasis_propagator(h0, v_amp, freqs, durations_us, substeps):
+def _eigenbasis_propagator(h0, v_amp, freqs, durations_us):
     """_floquet_propagator in the eigenbasis of h0, where the diagonal of
     U is the survival amplitude of each initial eigenstate."""
     w, vecs = eigensystem(h0)
     return _floquet_propagator(np.diag(w).astype(complex),
                                vecs.conj().T @ v_amp @ vecs, freqs,
-                               durations_us, substeps)
+                               durations_us)
 
 
-def transition_spectrum(h0, v_amp, f_grid_mhz, t_b_us, populations,
-                        substeps=SUBSTEPS):
+def transition_spectrum(h0, v_amp, f_grid_mhz, t_b_us, populations):
     """Population-weighted pump probability P(f) of one member.
 
     P(f) = sum_i pop_i * (1 - |<i|U(f)|i>|^2) over the eigenstates of h0,
@@ -276,8 +273,7 @@ def transition_spectrum(h0, v_amp, f_grid_mhz, t_b_us, populations,
     if not np.isfinite(t_b_us) or t_b_us < 0:
         raise ValueError("t_b_us must be finite and >= 0")
 
-    u = _eigenbasis_propagator(h0, v_amp, f, np.full(len(f), float(t_b_us)),
-                               substeps)
+    u = _eigenbasis_propagator(h0, v_amp, f, np.full(len(f), float(t_b_us)))
     surv = np.abs(np.diagonal(u, axis1=1, axis2=2)) ** 2
     p = (pop[None, :] * (1.0 - surv)).sum(axis=1)
     return np.clip(p, 0.0, 1.0)
@@ -298,8 +294,7 @@ def _member_populations(system, field):
     return photophysics.ground_populations(n7)
 
 
-def ensemble_transfer(members, field, f_grid_mhz, t_b_us,
-                      substeps=SUBSTEPS):
+def ensemble_transfer(members, field, f_grid_mhz, t_b_us):
     """Weighted pump probability P_B(f) of an ensemble of one species.
 
     Sums weight * transition_spectrum over the members, each starting
@@ -318,7 +313,7 @@ def ensemble_transfer(members, field, f_grid_mhz, t_b_us,
         v_amp = drive_amplitude_matrix(m, field)
         pop = _member_populations(m, field)
         total = total + m.weight * transition_spectrum(
-            h0, v_amp, f_grid_mhz, t_b_us, pop, substeps=substeps)
+            h0, v_amp, f_grid_mhz, t_b_us, pop)
     return total
 
 
@@ -348,7 +343,7 @@ def simulate_rabi(system, field, t_grid_us):
 
     u = _eigenbasis_propagator(static_hamiltonian(system, field),
                                drive_amplitude_matrix(system, field),
-                               [f_b], t, SUBSTEPS)
+                               [f_b], t)
     p = 1.0 - np.abs(u[:, lo - 1, lo - 1]) ** 2
     return SpectrumTrace(t, np.clip(p, 0.0, 1.0),
                          x_label="t (us)", y_label="P")

@@ -45,7 +45,6 @@ __all__ = [
     "fit_hahn_decay",
     "fit_eseem",
     "fit_saturation",
-    "nv_count",
     "diffusion_coefficient",
     "epr_double_integral",
     "epr_concentration",
@@ -815,18 +814,12 @@ def fit_eseem(trace, b0_mt):
 
 # --------------------------------------------------------- saturation
 
-def fit_saturation(trace, background=None):
+def fit_saturation(trace):
     """PL saturation curve F(P) = F_sat P / (P + P_sat).
 
-    background, when given, is a trace on the same power grid subtracted
-    point-wise first (linear APD background).  Warns when the data stops
-    below half the fitted saturation power.
+    Warns when the data stops below half the fitted saturation power.
     """
-    x, y = trace.x, trace.y.copy()
-    if background is not None:
-        if len(background) != len(trace) or np.any(background.x != x):
-            raise ValueError("background grid must match the trace")
-        y = y - background.y
+    x, y = trace.x, trace.y
     if np.any(x < 0):
         raise ValueError("powers must be non-negative")
 
@@ -844,23 +837,6 @@ def fit_saturation(trace, background=None):
         warnings.warn("data stops below 0.5 P_sat; saturation level is "
                       "poorly constrained", FitWarning)
     return res
-
-
-def nv_count(ensemble_f_sat, single_f_sat):
-    """NV number = ensemble / single saturation intensity, with error.
-
-    Both inputs are (value, std_error) pairs; returns (count, error)
-    with the relative errors added in quadrature.
-    """
-    fe, se = float(ensemble_f_sat[0]), float(ensemble_f_sat[1])
-    fs, ss = float(single_f_sat[0]), float(single_f_sat[1])
-    if fs <= 0:
-        raise ValueError("single-NV saturation intensity must be > 0")
-    if fe < 0 or se < 0 or ss < 0:
-        raise ValueError("intensities and errors must be non-negative")
-    n = fe / fs
-    rel = np.sqrt((se / fe) ** 2 + (ss / fs) ** 2) if fe > 0 else ss / fs
-    return n, n * rel
 
 
 # ------------------------------------------------- derived quantities

@@ -17,7 +17,6 @@ does exactly that and nothing else.
 """
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -26,9 +25,6 @@ from .spincore import (Orientation, SpinOperatorSet, eigensystem,
                        orientation_families, spin_operators, tensor_embed)
 
 __all__ = [
-    "P1Params",
-    "NVParams",
-    "XParams",
     "SpinSystem",
     "build_p1",
     "build_nv",
@@ -43,7 +39,6 @@ __all__ = [
     "nv_offaxis_member",
     "nv_onaxis_member",
     "allowed_transitions",
-    "transition_frequency",
 ]
 
 _S_HALF = spin_operators(0.5)
@@ -53,39 +48,6 @@ _S_ONE = spin_operators(1.0)
 # nuclear-spin-flip satellites of P1 sit two orders below the
 # electron-allowed lines
 ALLOWED_THRESHOLD = 0.1
-
-
-@dataclass(frozen=True)
-class P1Params:
-    """P1 center parameters (MHz; molecular frame, symmetry axis = z)."""
-
-    a_perp_mhz: float = c.A_PERP_MHZ
-    a_par_mhz: float = c.A_PAR_MHZ
-    p_par_mhz: float = c.P_PAR_MHZ
-    gamma_e_mhz_per_mt: float = c.GAMMA_E_MHZ_PER_MT
-    gamma_n_mhz_per_mt: float = c.GAMMA_N14_MHZ_PER_MT
-
-
-@dataclass(frozen=True)
-class NVParams:
-    """NV electron spin parameters (MHz).
-
-    d_mhz defaults to the ground-state zero-field splitting; pass
-    d_mhz=D_ES_MHZ for the optically excited manifold.
-    """
-
-    d_mhz: float = c.D_GS_MHZ
-    gamma_e_mhz_per_mt: float = c.GAMMA_E_MHZ_PER_MT
-
-
-@dataclass(frozen=True)
-class XParams:
-    """Bare S = 1/2 defect parameters."""
-
-    gamma_e_mhz_per_mt: float = c.GAMMA_E_MHZ_PER_MT
-
-
-SpeciesParams = Union[P1Params, NVParams, XParams]
 
 
 @dataclass(frozen=True)
@@ -99,7 +61,6 @@ class SpinSystem:
 
     species: str
     orientation: Orientation
-    params: SpeciesParams
     weight: float = 1.0
 
     def __post_init__(self):
@@ -116,7 +77,7 @@ def _check_b0(b0_vec_mt):
     return b
 
 
-def build_p1(b0_vec_mt, params=None):
+def build_p1(b0_vec_mt):
     """6x6 P1 Hamiltonian H/h in MHz.
 
     H = gamma_e B.S + A_perp (Sx Ix + Sy Iy) + A_par Sz Iz + P_par Iz^2
@@ -124,8 +85,6 @@ def build_p1(b0_vec_mt, params=None):
 
     with the hyperfine/quadrupole tensors along the molecular z axis.
     """
-    if params is None:
-        params = P1Params()
     b = _check_b0(b0_vec_mt)
     dims = (2, 3)
     sx = tensor_embed(_S_HALF.sx, 0, dims)
@@ -134,32 +93,32 @@ def build_p1(b0_vec_mt, params=None):
     ix = tensor_embed(_S_ONE.sx, 1, dims)
     iy = tensor_embed(_S_ONE.sy, 1, dims)
     iz = tensor_embed(_S_ONE.sz, 1, dims)
-    h = params.gamma_e_mhz_per_mt * (b[0] * sx + b[1] * sy + b[2] * sz)
-    h = h + params.a_perp_mhz * (sx @ ix + sy @ iy)
-    h = h + params.a_par_mhz * (sz @ iz)
-    h = h + params.p_par_mhz * (iz @ iz)
-    h = h - params.gamma_n_mhz_per_mt * (b[0] * ix + b[1] * iy + b[2] * iz)
+    h = c.GAMMA_E_MHZ_PER_MT * (b[0] * sx + b[1] * sy + b[2] * sz)
+    h = h + c.A_PERP_MHZ * (sx @ ix + sy @ iy)
+    h = h + c.A_PAR_MHZ * (sz @ iz)
+    h = h + c.P_PAR_MHZ * (iz @ iz)
+    h = h - c.GAMMA_N14_MHZ_PER_MT * (b[0] * ix + b[1] * iy + b[2] * iz)
     return h
 
 
-def build_nv(b0_vec_mt, params=None):
-    """3x3 NV electron Hamiltonian H/h = D Sz^2 + gamma_e B.S in MHz."""
-    if params is None:
-        params = NVParams()
+def build_nv(b0_vec_mt, d_mhz=c.D_GS_MHZ):
+    """3x3 NV electron Hamiltonian H/h = D Sz^2 + gamma_e B.S in MHz.
+
+    D is the ground-state zero-field splitting unless d_mhz is given
+    (D_ES_MHZ for the optically excited manifold).
+    """
     b = _check_b0(b0_vec_mt)
     s = _S_ONE
-    h = params.d_mhz * (s.sz @ s.sz)
-    h = h + params.gamma_e_mhz_per_mt * (b[0] * s.sx + b[1] * s.sy + b[2] * s.sz)
+    h = d_mhz * (s.sz @ s.sz)
+    h = h + c.GAMMA_E_MHZ_PER_MT * (b[0] * s.sx + b[1] * s.sy + b[2] * s.sz)
     return h
 
 
-def build_x(b0_vec_mt, params=None):
+def build_x(b0_vec_mt):
     """2x2 free-electron Hamiltonian H/h = gamma_e B.S in MHz."""
-    if params is None:
-        params = XParams()
     b = _check_b0(b0_vec_mt)
     s = _S_HALF
-    return params.gamma_e_mhz_per_mt * (b[0] * s.sx + b[1] * s.sy + b[2] * s.sz)
+    return c.GAMMA_E_MHZ_PER_MT * (b[0] * s.sx + b[1] * s.sy + b[2] * s.sz)
 
 
 def apply_orientation(orientation, field):
@@ -204,10 +163,10 @@ def static_hamiltonian(system, field):
     """
     b0, _ = apply_orientation(system.orientation, field)
     if system.species == "P1":
-        return build_p1(b0, system.params)
+        return build_p1(b0)
     if system.species == "NV":
-        return build_nv(b0, system.params)
-    return build_x(b0, system.params)
+        return build_nv(b0)
+    return build_x(b0)
 
 
 def drive_operator(system, field):
@@ -231,7 +190,7 @@ def drive_amplitude_matrix(system, field):
     return 2.0 * field.rabi_mhz * drive_operator(system, field)
 
 
-def p1_ensemble(params=None, merge_off_axis=False):
+def p1_ensemble(merge_off_axis=False):
     """The standard four-orientation P1 ensemble, equal weights.
 
     With merge_off_axis=True the three off-axis families are represented
@@ -239,40 +198,32 @@ def p1_ensemble(params=None, merge_off_axis=False):
     because conjugating the field and drive by a rotation about z changes
     neither eigenvalues nor drive matrix-element magnitudes.
     """
-    if params is None:
-        params = P1Params()
     fams = orientation_families()
     if merge_off_axis:
         return [
-            SpinSystem("P1", fams[0], params, weight=0.25),
-            SpinSystem("P1", fams[1], params, weight=0.75),
+            SpinSystem("P1", fams[0], weight=0.25),
+            SpinSystem("P1", fams[1], weight=0.75),
         ]
-    return [SpinSystem("P1", o, params, weight=0.25) for o in fams]
+    return [SpinSystem("P1", o, weight=0.25) for o in fams]
 
 
-def x_member(params=None):
+def x_member():
     """Single orientation-insensitive X member (S = 1/2), weight 1."""
-    if params is None:
-        params = XParams()
-    return SpinSystem("X", orientation_families()[0], params, weight=1.0)
+    return SpinSystem("X", orientation_families()[0], weight=1.0)
 
 
-def nv_onaxis_member(params=None):
+def nv_onaxis_member():
     """The on-axis NV member, weight 1/4."""
-    if params is None:
-        params = NVParams()
-    return SpinSystem("NV", orientation_families()[0], params, weight=0.25)
+    return SpinSystem("NV", orientation_families()[0], weight=0.25)
 
 
-def nv_offaxis_member(params=None):
+def nv_offaxis_member():
     """One off-axis NV member standing for the three degenerate families:
     the [-111] family at weight 3/4."""
-    if params is None:
-        params = NVParams()
-    return SpinSystem("NV", orientation_families()[1], params, weight=0.75)
+    return SpinSystem("NV", orientation_families()[1], weight=0.75)
 
 
-def p1_line_table(field, params=None):
+def p1_line_table(field):
     """(frequency, area fraction) of the allowed P1 lines at this field.
 
     Six rows (three per orientation family, the off-axis families merged
@@ -280,7 +231,7 @@ def p1_line_table(field, params=None):
     so each allowed line of a family carries weight * (1/6 + 1/6).
     """
     rows = []
-    for member in p1_ensemble(params, merge_off_axis=True):
+    for member in p1_ensemble(merge_off_axis=True):
         for f, _, _, _ in allowed_transitions(member, field):
             rows.append((f, member.weight * (2.0 / 6.0)))
     rows.sort(key=lambda r: r[0])
@@ -309,35 +260,24 @@ def p1_group_table(rows):
     return centers[order], amps[order]
 
 
-def x_line_frequency(field, params=None):
+def x_line_frequency(field):
     """Resonance frequency of the bare S = 1/2 X line, gamma_e |B0|."""
-    member = x_member(params)
-    trans = allowed_transitions(member, field)
+    trans = allowed_transitions(x_member(), field)
     return trans[0][0]
 
 
-def nv_line_table(field, params=None):
+def nv_line_table(field):
     """Drive-allowed NV lines: (freq, matrix element, levels, family label).
 
     Both the on-axis member and one representative off-axis member are
     listed; the off-axis 2<->3 line is the DEER-relevant one.
     """
     rows = []
-    for member in (nv_onaxis_member(params), nv_offaxis_member(params)):
+    for member in (nv_onaxis_member(), nv_offaxis_member()):
         for f, el, a, b in allowed_transitions(member, field):
             rows.append((f, el, a, b, member.orientation.label))
     rows.sort(key=lambda r: r[0])
     return rows
-
-
-def transition_frequency(h, level_a, level_b):
-    """|E_b - E_a| in MHz between 1-based ascending-energy levels."""
-    w, _ = eigensystem(h)
-    n = len(w)
-    for lv in (level_a, level_b):
-        if not 1 <= lv <= n:
-            raise ValueError(f"level {lv} out of range 1..{n}")
-    return abs(w[level_b - 1] - w[level_a - 1])
 
 
 def allowed_transitions(system, field):

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import constants as c
 from .errors import NumericError
-from .hamiltonians import NVParams, build_nv
+from .hamiltonians import build_nv
 from .spincore import eigensystem
 
 __all__ = [
@@ -116,9 +116,8 @@ def mixing_coefficients(b0_vec_mt):
     b_axial = np.array([0.0, 0.0, b[2]])
     a2 = np.zeros((N_LEVELS, N_LEVELS))
     for blk, d_mhz in ((slice(0, 3), c.D_GS_MHZ), (slice(3, 6), c.D_ES_MHZ)):
-        params = NVParams(d_mhz=d_mhz)
-        _, v_full = eigensystem(build_nv(b, params))
-        _, v_ax = eigensystem(build_nv(b_axial, params))
+        _, v_full = eigensystem(build_nv(b, d_mhz))
+        _, v_ax = eigensystem(build_nv(b_axial, d_mhz))
         # [i, j] = |<j_axial | i_full>|^2
         a2[blk, blk] = np.abs(v_full.conj().T @ v_ax) ** 2
     a2[6, 6] = 1.0

@@ -175,15 +175,14 @@ class FieldConfiguration:
         reduction of a linear drive.
     drive_freq_mhz : float
         Drive carrier frequency f in MHz.
-    drive_axis : tuple
-        Unit 3-vector of the linear drive polarization, default x.
+
+    The linear drive is polarized along the lab x axis.
     """
 
     b0_mag_mt: float
     tilt_deg: float = 0.0
     rabi_mhz: float = 0.0
     drive_freq_mhz: float = 0.0
-    drive_axis: tuple = (1.0, 0.0, 0.0)
 
     def __post_init__(self):
         if self.b0_mag_mt < 0:
@@ -192,9 +191,6 @@ class FieldConfiguration:
             raise ValueError("rabi_mhz must be >= 0")
         if self.drive_freq_mhz < 0:
             raise ValueError("drive_freq_mhz must be >= 0")
-        ax = np.asarray(self.drive_axis, dtype=float)
-        if ax.shape != (3,) or np.linalg.norm(ax) == 0:
-            raise ValueError("drive_axis must be a non-zero 3-vector")
 
     def b0_vector(self):
         """Static field vector in mT, tilt applied within the xz plane."""
@@ -202,8 +198,8 @@ class FieldConfiguration:
         return self.b0_mag_mt * np.array([np.sin(t), 0.0, np.cos(t)])
 
     def drive_unit(self):
-        ax = np.asarray(self.drive_axis, dtype=float)
-        return ax / np.linalg.norm(ax)
+        """Unit vector of the linear drive polarization, x."""
+        return np.array([1.0, 0.0, 0.0])
 
     def replace(self, **kwargs):
         """Return a copy with some fields replaced."""

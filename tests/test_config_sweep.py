@@ -34,3 +34,26 @@ def test_non_finite_config_file_exit_2(tmp_path, capsys):
                  "--config", str(cfg), "--out", str(out)]) == 2
     assert "timing.t_b_us" in capsys.readouterr().err
     assert _written(out) == []
+
+
+# the dynamics engine counts drive periods in int64; a pulse of 2**62 or
+# more periods is refused as a configuration error naming the keys that
+# set the count
+@pytest.mark.parametrize("args, keys", [
+    (["deer-spectrum", "ensemble.gamma_mhz=0", "timing.t_b_us=1e16"],
+     ("timing.t_b_us", "sweep.f_max_mhz")),
+    (["deer-spectrum", "ensemble.gamma_mhz=0", "timing.t_b_us=1e20"],
+     ("timing.t_b_us", "sweep.f_max_mhz")),
+    (["deer-rabi", "sweep.t_max_us=1e20"], ("sweep.t_max_us", "field.b0_mt")),
+], ids=["spectrum-1e16", "spectrum-1e20", "rabi-1e20"])
+def test_huge_dynamics_pulse_exit_2(tmp_path, capsys, args, keys):
+    experiment, *sets = args
+    out = tmp_path / "out"
+    argv = ["simulate", "-e", experiment, "--engine", "dynamics",
+            "--out", str(out)]
+    for item in sets:
+        argv += ["--set", item]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert all(key in err for key in keys)
+    assert _written(out) == []

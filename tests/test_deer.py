@@ -3,7 +3,7 @@ import pytest
 
 from nvdeer import (LorentzianPeak, LorentzianPeakSet,
                     P1_FIVE_LINE_AMPLITUDES, deer_signal_from_transfer,
-                    detection_limit_ppb, lorentzian, population_transfer,
+                    detection_limit_ppb, population_transfer,
                     rabi_probability)
 from nvdeer import constants as c
 from nvdeer import deer
@@ -15,13 +15,6 @@ def test_five_line_amplitudes():
     assert amps.sum() == pytest.approx(1.0)
     assert amps[2] == pytest.approx(1.0 / 3.0)
     assert amps[0] == amps[4] == pytest.approx(1.0 / 12.0)
-
-
-def test_lorentzian_unit_area():
-    peaks = [LorentzianPeak(100.0, 2.0, 0.6), LorentzianPeak(140.0, 0.5, 0.4)]
-    x = np.linspace(-4000.0, 4000.0, 400001)
-    area = np.trapezoid(lorentzian(peaks, x), x)
-    assert area == pytest.approx(1.0, abs=2e-3)
 
 
 def test_lorentzian_peak_validation():

@@ -10,8 +10,8 @@ from nvdeer import (DeerFixedParams, FieldConfiguration, LorentzianPeak,
                     fit_central_line_two_species, fit_concentration_spectrum,
                     fit_deer_decay, fit_eseem, fit_hahn_decay,
                     fit_lorentzian_peaks, fit_rabi_frequency, fit_saturation,
-                    nv_count, p1_line_table, population_transfer,
-                    simulate_rabi, x_line_frequency, x_member)
+                    p1_line_table, population_transfer, simulate_rabi,
+                    x_line_frequency, x_member)
 from nvdeer import constants as c
 from nvdeer import fitting
 from nvdeer.errors import DataError, DataQualityWarning, FitError, FitWarning
@@ -443,30 +443,11 @@ def test_saturation_recovery(rng):
     assert abs(res.params["p_sat"] / 1.0 - 1.0) < 0.05
 
 
-def test_saturation_background_subtraction():
-    p = np.linspace(0.0, 2.0, 25)
-    y = 50.0 * p / (p + 0.5) + 7.0 * p
-    bg = SpectrumTrace(p, 7.0 * p)
-    res = fit_saturation(SpectrumTrace(p, y), background=bg)
-    assert res.params["f_sat"] == pytest.approx(50.0, rel=1e-6)
-    assert res.params["p_sat"] == pytest.approx(0.5, rel=1e-6)
-
-
 def test_saturation_warns_when_underpowered():
     p = np.linspace(0.0, 0.3, 20)
     y = 100.0 * p / (p + 1.0)
     with pytest.warns(FitWarning):
         fit_saturation(SpectrumTrace(p, y))
-
-
-def test_nv_count_values():
-    n, err = nv_count((100.0, 1.0), (2.0, 0.1))
-    assert n == pytest.approx(50.0)
-    assert err == pytest.approx(50.0 * np.sqrt(1e-4 + 2.5e-3))
-    n1, _ = nv_count((5.0, 0.1), (5.0, 0.1))
-    assert n1 == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        nv_count((5.0, 0.1), (0.0, 0.1))
 
 
 # ----------------------------------------------------- derived quantities

@@ -5,9 +5,8 @@ from nvdeer import (FieldConfiguration, allowed_transitions,
                     apply_orientation, build_nv, build_p1, build_x,
                     eigensystem, nv_line_table, nv_offaxis_member,
                     nv_onaxis_member, p1_ensemble, p1_line_table,
-                    static_hamiltonian, transition_frequency,
-                    x_line_frequency, x_member)
-from nvdeer.hamiltonians import P1Params, NVParams
+                    static_hamiltonian, x_line_frequency, x_member)
+from nvdeer import constants as c
 
 # Frozen line positions at 37.2 mT / 0.1 deg tilt, from independent
 # diagonalization of the published hyperfine and zero-field constants.
@@ -84,10 +83,9 @@ def test_nv_onaxis_transitions(field):
     h = static_hamiltonian(member, field)
     # on axis: E(0) = 0, E(-1) = D - gB, E(+1) = D + gB
     gb = 28.025 * 37.2
-    assert transition_frequency(h, 1, 2) == pytest.approx(2870 - gb,
-                                                          abs=0.5)
-    assert transition_frequency(h, 1, 3) == pytest.approx(2870 + gb,
-                                                          abs=0.5)
+    w = np.linalg.eigvalsh(h)
+    assert w[1] - w[0] == pytest.approx(2870 - gb, abs=0.5)
+    assert w[2] - w[0] == pytest.approx(2870 + gb, abs=0.5)
 
 
 def test_nv_line_table_contains_deer_line(field):
@@ -116,24 +114,14 @@ def test_apply_orientation_preserves_norm(field):
     assert np.linalg.norm(e_m) == pytest.approx(1.0)
 
 
-def test_transition_frequency_level_bounds(field):
-    h = static_hamiltonian(x_member(), field)
-    with pytest.raises(ValueError):
-        transition_frequency(h, 0, 1)
-    with pytest.raises(ValueError):
-        transition_frequency(h, 1, 3)
-
-
 def test_p1_params_defaults():
-    p = P1Params()
-    assert p.a_perp_mhz == pytest.approx(81.32)
-    assert p.a_par_mhz == pytest.approx(114.03)
-    assert p.p_par_mhz == pytest.approx(-3.97)
+    assert c.A_PERP_MHZ == pytest.approx(81.32)
+    assert c.A_PAR_MHZ == pytest.approx(114.03)
+    assert c.P_PAR_MHZ == pytest.approx(-3.97)
 
 
 def test_nv_zero_field_splittings():
     from nvdeer.constants import D_ES_MHZ, D_GS_MHZ
-    assert NVParams().d_mhz == pytest.approx(2870.0)
     assert D_GS_MHZ == pytest.approx(2870.0)
     assert D_ES_MHZ == pytest.approx(1420.0)
 
@@ -142,6 +130,11 @@ def test_build_nv_reduces_to_zfs_at_zero_field():
     h = build_nv(np.zeros(3))
     w = np.linalg.eigvalsh(h)
     assert np.allclose(sorted(w), [0.0, 2870.0, 2870.0], atol=1e-9)
+
+
+def test_build_nv_excited_state_splitting():
+    w = np.linalg.eigvalsh(build_nv(np.zeros(3), c.D_ES_MHZ))
+    assert np.allclose(sorted(w), [0.0, 1420.0, 1420.0], atol=1e-9)
 
 
 def test_build_p1_hyperfine_splitting_along_z():
